@@ -31,6 +31,10 @@ ORACLE_NODES = 4097    # 2^12 + 1
 
 _EDGE_NUDGE = 1e-9
 
+# Cells whose density points are evaluated in one kernel call while building
+# the weights; keeps the temporaries to a few MB at ORACLE_NODES.
+_BLOCK_CELLS = 16
+
 
 class ConvergenceError(RuntimeError):
     """A fixed-point solve failed to reach its tolerance within the iteration budget."""
@@ -68,17 +72,16 @@ class GridDynamics:
         self.nodes = nodes
         n = nodes.size
         self.alive = nodes <= model.H_D
-        self._cuts = [
-            sorted(model.kernel.density_discontinuities(float(x))) if a else []
-            for x, a in zip(nodes, self.alive)
-        ]
         self._n_cells = int(np.searchsorted(nodes, model.H_D))  # cells [x_j, x_{j+1}] with x_{j+1} <= H_D
+        self._splits = self._split_rows()
         self._wr_cache: dict[int, np.ndarray] = {}
         self.W = np.zeros((n, n))
-        for j in range(self._n_cells):
-            wl, wr = self._cell_weights(j)
-            self.W[:, j] += wl
-            self.W[:, j + 1] += wr
+        living = self._n_cells + 1  # the living rows are the prefix x <= H_D
+        for j0 in range(0, self._n_cells, _BLOCK_CELLS):
+            j1 = min(j0 + _BLOCK_CELLS, self._n_cells)
+            wl, wr = self._cell_weights(j0, j1)
+            self.W[:living, j0:j1] += wl
+            self.W[:living, j0 + 1 : j1 + 1] += wr
         rows, locs, masses = [], [], []
         for i in np.nonzero(self.alive)[0]:
             for loc, mass in model.kernel.point_masses(float(nodes[i])):
@@ -90,48 +93,69 @@ class GridDynamics:
         self._atom_locs = np.asarray(locs, dtype=float)
         self._atom_masses = np.asarray(masses, dtype=float)
 
-    def _cell_weights(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """Weights of cell [x_j, x_{j+1}] onto its two endpoint values, per row."""
+    def _split_rows(self) -> dict[int, list[tuple[int, list[float]]]]:
+        """Living rows whose density jumps strictly inside a cell: {cell: [(row, sorted cuts), ...]}."""
         x = self.nodes
-        n = x.size
+        rows, cuts = [], []
+        for i in np.nonzero(self.alive)[0]:
+            for d in sorted(self.model.kernel.density_discontinuities(float(x[i]))):
+                rows.append(int(i))
+                cuts.append(float(d))
+        d = np.asarray(cuts, dtype=float)
+        cells = np.searchsorted(x, d, side="right") - 1  # x[cell] <= d < x[cell + 1]
+        inside = (cells >= 0) & (cells < x.size - 1) & (x[cells] < d)
+        splits: dict[int, list[tuple[int, list[float]]]] = {}
+        for k in np.nonzero(inside)[0]:
+            pairs = splits.setdefault(int(cells[k]), [])
+            if pairs and pairs[-1][0] == rows[k]:
+                pairs[-1][1].append(cuts[k])
+            else:
+                pairs.append((rows[k], [cuts[k]]))
+        return splits
+
+    def _cell_weights(self, j0: int, j1: int) -> tuple[np.ndarray, np.ndarray]:
+        """Weights of cells [x_j, x_{j+1}], j0 <= j < j1, onto their two endpoint
+        values: arrays of shape (living rows, cells)."""
+        x = self.nodes
+        p, q = x[j0:j1], x[j0 + 1 : j1 + 1]
+        dx = q - p
+        pts = np.stack([p + _EDGE_NUDGE * dx, 0.5 * (p + q), q - _EDGE_NUDGE * dx], axis=1)
+        living = x[: self._n_cells + 1]
+        f = np.asarray(self.model.kernel.density(pts.reshape(1, -1), living[:, None]))
+        f = f.reshape(living.size, j1 - j0, 3)
+        wl = dx / 6.0 * (f[:, :, 0] + 2.0 * f[:, :, 1])
+        wr = dx / 6.0 * (2.0 * f[:, :, 1] + f[:, :, 2])
+        # Rows whose density jumps strictly inside a cell: redo with split pieces.
+        for j in range(j0, j1):
+            for i, cuts in self._splits.get(j, ()):
+                wl[i, j - j0], wr[i, j - j0] = self._split_weights(i, j, cuts)
+        return wl, wr
+
+    def _split_weights(self, i: int, j: int, cuts: list[float]) -> tuple[float, float]:
+        """Row i's weights of cell j, integrating each smooth piece between its cuts."""
+        x = self.nodes
         p, q = x[j], x[j + 1]
         dx = q - p
-        kernel = self.model.kernel
-        alive_idx = np.nonzero(self.alive)[0]
-        pts = np.array([p + _EDGE_NUDGE * dx, 0.5 * (p + q), q - _EDGE_NUDGE * dx])
-        f = np.zeros((n, 3))
-        f[alive_idx] = np.asarray(kernel.density(pts[None, :], x[alive_idx, None]))
-        wl = np.zeros(n)
-        wr = np.zeros(n)
-        wl[alive_idx] = dx / 6.0 * (f[alive_idx, 0] + 2.0 * f[alive_idx, 1])
-        wr[alive_idx] = dx / 6.0 * (2.0 * f[alive_idx, 1] + f[alive_idx, 2])
-        # Rows whose density jumps strictly inside this cell: redo with split pieces.
-        for i in alive_idx:
-            cuts = [d for d in self._cuts[i] if p < d < q]
-            if not cuts:
+        wli = wri = 0.0
+        edges = [p, *cuts, q]
+        for a, b in zip(edges[:-1], edges[1:]):
+            w = b - a
+            if w <= 0.0:
                 continue
-            wli = wri = 0.0
-            edges = [p, *cuts, q]
-            for a, b in zip(edges[:-1], edges[1:]):
-                w = b - a
-                if w <= 0.0:
-                    continue
-                sub = np.array([a + _EDGE_NUDGE * w, 0.5 * (a + b), b - _EDGE_NUDGE * w])
-                fv = np.asarray(kernel.density(sub, float(x[i])))
-                alpha = (q - sub) / dx  # interpolation weight onto the left endpoint
-                wli += w / 6.0 * (fv[0] * alpha[0] + 4.0 * fv[1] * alpha[1] + fv[2] * alpha[2])
-                wri += w / 6.0 * (fv[0] * (1 - alpha[0]) + 4.0 * fv[1] * (1 - alpha[1]) + fv[2] * (1 - alpha[2]))
-            wl[i] = wli
-            wr[i] = wri
-        return wl, wr
+            sub = np.array([a + _EDGE_NUDGE * w, 0.5 * (a + b), b - _EDGE_NUDGE * w])
+            fv = np.asarray(self.model.kernel.density(sub, float(x[i])))
+            alpha = (q - sub) / dx  # interpolation weight onto the left endpoint
+            wli += w / 6.0 * (fv[0] * alpha[0] + 4.0 * fv[1] * alpha[1] + fv[2] * alpha[2])
+            wri += w / 6.0 * (fv[0] * (1 - alpha[0]) + 4.0 * fv[1] * (1 - alpha[1]) + fv[2] * (1 - alpha[2]))
+        return wli, wri
 
     def _right_col(self, k: int) -> np.ndarray:
         """Weight column of node k in its role as the right endpoint of cell k-1."""
         if k not in self._wr_cache:
-            if k == 0:
-                self._wr_cache[k] = np.zeros(self.nodes.size)
-            else:
-                self._wr_cache[k] = self._cell_weights(k - 1)[1]
+            col = np.zeros(self.nodes.size)
+            if k > 0:
+                col[: self._n_cells + 1] = self._cell_weights(k - 1, k)[1][:, 0]
+            self._wr_cache[k] = col
         return self._wr_cache[k]
 
     def continuation(self, v_right: np.ndarray, v_left: np.ndarray | None = None) -> np.ndarray:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import derivative_exact, value_exact
+from stopgrad import dp
 from stopgrad.dp import (
     ConvergenceError,
     GridDynamics,
@@ -48,6 +49,55 @@ class TestGridDynamics:
         dyn = GridDynamics(m, nodes)
         cont = dyn.continuation(np.ones(nodes.size))
         np.testing.assert_allclose(cont[nodes < 1.0], 1.0, atol=1e-9)
+
+    @pytest.mark.parametrize("H_D", [1.0, 0.6])
+    def test_uniform_kernel_moments_match_closed_form(self, H_D):
+        # h' ~ Uniform[x, 1] integrated over the living region [0, H_D].
+        m = StoppingModel(UniformDeteriorationKernel(), ConstantReward(0.5), LinearReward(8.0, 0.0), H_D=H_D)
+        nodes = make_grid(m, 1025)
+        dyn = GridDynamics(m, nodes)
+        live = dyn.alive & (nodes < 1.0)
+        x = nodes[live]
+        np.testing.assert_allclose(dyn.continuation(np.ones(nodes.size))[live], (H_D - x) / (1.0 - x), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            dyn.continuation(nodes)[live], (H_D**2 - x**2) / (2.0 * (1.0 - x)), rtol=0, atol=1e-12
+        )
+
+    def test_mean_with_cuts_off_the_grid(self):
+        # h' ~ Uniform[0, 1 - x]; the cuts 1 - 1/3 and 1 - 0.123456789 fall inside cells.
+        from test_kernel import ImprovingKernel
+
+        m = StoppingModel(ImprovingKernel(), ConstantReward(0.5), ConstantReward(0.0))
+        nodes = make_grid(m, 129, extra=(1.0 / 3.0, 0.123456789))
+        dyn = GridDynamics(m, nodes)
+        live = nodes < 1.0
+        np.testing.assert_allclose(dyn.continuation(nodes)[live], (1.0 - nodes[live]) / 2.0, rtol=0, atol=1e-12)
+
+    def test_one_sided_limits_at_a_jump_node(self, wsc_model):
+        # v = 1{h >= theta} jumps at the grid node theta: the right limit there is 1
+        # and the left limit 0, so E[v(h') | x] = P(h' >= theta | x).
+        theta = 0.5
+        nodes = make_grid(wsc_model, 1025)
+        assert theta in nodes
+        dyn = GridDynamics(wsc_model, nodes)
+        v_right = (nodes >= theta).astype(float)
+        v_left = (nodes > theta).astype(float)
+        x = nodes[nodes < 1.0]
+        cont = dyn.continuation(v_right, v_left)[nodes < 1.0]
+        np.testing.assert_allclose(cont, np.minimum(1.0, (1.0 - theta) / (1.0 - x)), rtol=0, atol=1e-12)
+
+    def test_weights_do_not_depend_on_block_size(self, monkeypatch):
+        from test_kernel import ImprovingKernel
+
+        m = StoppingModel(ImprovingKernel(), ConstantReward(0.5), ConstantReward(0.0), H_D=0.7)
+        nodes = make_grid(m, 129, extra=(1.0 / 3.0, 0.123456789))
+        k = int(np.searchsorted(nodes, 1.0 / 3.0))
+        ref = GridDynamics(m, nodes)
+        for block in (1, 7, nodes.size):
+            monkeypatch.setattr(dp, "_BLOCK_CELLS", block)
+            dyn = GridDynamics(m, nodes)
+            assert np.array_equal(dyn.W, ref.W)
+            assert np.array_equal(dyn._right_col(k), ref._right_col(k))
 
     def test_grid_requires_death_threshold_node(self, wsc_model):
         with pytest.raises(ValueError):
