@@ -10,22 +10,19 @@ from .dp import (
     policy_value_sweep,
     value_iterate,
 )
-from .estimators import GradEstimate, fd_estimate, ipa_estimate, spa_estimate, spa_single_rep
+from .estimators import GradEstimate, fd_estimate, ipa_estimate, spa_estimate
 from .kernel import TransitionKernel, UniformDeteriorationKernel, check_ifr
-from .model import Action, ControlLimitPolicy, StoppingModel, check_assumptions
-from .sim import ReplicationStreams, Trajectory, estimate_value, sample_paths, simulate_path
+from .model import StoppingModel, check_assumptions
+from .sim import ReplicationStreams, estimate_value, sample_paths
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Action",
-    "ControlLimitPolicy",
     "ExperimentConfig",
     "GradEstimate",
     "GridValueFunction",
     "ReplicationStreams",
     "StoppingModel",
-    "Trajectory",
     "TransitionKernel",
     "UniformDeteriorationKernel",
     "build_model",
@@ -40,8 +37,6 @@ __all__ = [
     "policy_value",
     "policy_value_sweep",
     "sample_paths",
-    "simulate_path",
     "spa_estimate",
-    "spa_single_rep",
     "value_iterate",
 ]

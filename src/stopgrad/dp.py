@@ -18,7 +18,6 @@ __all__ = [
     "ControlLimitResult",
     "make_grid",
     "GridDynamics",
-    "bellman_backup",
     "value_iterate",
     "extract_control_limit",
     "policy_value",
@@ -53,11 +52,13 @@ class GridDynamics:
 
     Row i integrates f(.|x_i) against piecewise-linear functions over the living
     region [0, H_D], with one-sided evaluation at declared density jumps, plus
-    any point masses.  Because grid values may represent one-sided limits at
-    discontinuity nodes (the policy threshold, the death boundary), the operator
-    is applied as `continuation(v_right, v_left)`: `v_right[j]` is the value just
-    above node j and `v_left[j]` the value just below; they coincide wherever the
-    function is continuous.
+    any point masses.  Every declared jump inside the living region must be a
+    grid node; the constructor raises ValueError otherwise.  Because grid values
+    may represent one-sided limits at discontinuity nodes (the policy threshold,
+    the death boundary), the operator is applied as
+    `continuation(v_right, v_left)`: `v_right[j]` is the value just above node j
+    and `v_left[j]` the value just below; they coincide wherever the function is
+    continuous.
     """
 
     def __init__(self, model: StoppingModel, nodes: np.ndarray):
@@ -73,7 +74,14 @@ class GridDynamics:
         n = nodes.size
         self.alive = nodes <= model.H_D
         self._n_cells = int(np.searchsorted(nodes, model.H_D))  # cells [x_j, x_{j+1}] with x_{j+1} <= H_D
-        self._splits = self._split_rows()
+        # The cell weights sample the density at each cell's nudged ends and its
+        # midpoint, which is exact only where the density is smooth inside the cell.
+        on_grid = set(nodes.tolist())
+        for h in nodes[self.alive].tolist():
+            off = [d for d in model.kernel.density_discontinuities(h) if 0.0 < d < model.H_D and d not in on_grid]
+            if off:
+                raise ValueError(f"the density from state {h!r} jumps at {off[0]!r}, inside a living grid cell; "
+                                 "every density jump must fall on a grid node")
         self._wr_cache: dict[int, np.ndarray] = {}
         self.W = np.zeros((n, n))
         living = self._n_cells + 1  # the living rows are the prefix x <= H_D
@@ -93,26 +101,6 @@ class GridDynamics:
         self._atom_locs = np.asarray(locs, dtype=float)
         self._atom_masses = np.asarray(masses, dtype=float)
 
-    def _split_rows(self) -> dict[int, list[tuple[int, list[float]]]]:
-        """Living rows whose density jumps strictly inside a cell: {cell: [(row, sorted cuts), ...]}."""
-        x = self.nodes
-        rows, cuts = [], []
-        for i in np.nonzero(self.alive)[0]:
-            for d in sorted(self.model.kernel.density_discontinuities(float(x[i]))):
-                rows.append(int(i))
-                cuts.append(float(d))
-        d = np.asarray(cuts, dtype=float)
-        cells = np.searchsorted(x, d, side="right") - 1  # x[cell] <= d < x[cell + 1]
-        inside = (cells >= 0) & (cells < x.size - 1) & (x[cells] < d)
-        splits: dict[int, list[tuple[int, list[float]]]] = {}
-        for k in np.nonzero(inside)[0]:
-            pairs = splits.setdefault(int(cells[k]), [])
-            if pairs and pairs[-1][0] == rows[k]:
-                pairs[-1][1].append(cuts[k])
-            else:
-                pairs.append((rows[k], [cuts[k]]))
-        return splits
-
     def _cell_weights(self, j0: int, j1: int) -> tuple[np.ndarray, np.ndarray]:
         """Weights of cells [x_j, x_{j+1}], j0 <= j < j1, onto their two endpoint
         values: arrays of shape (living rows, cells)."""
@@ -125,29 +113,7 @@ class GridDynamics:
         f = f.reshape(living.size, j1 - j0, 3)
         wl = dx / 6.0 * (f[:, :, 0] + 2.0 * f[:, :, 1])
         wr = dx / 6.0 * (2.0 * f[:, :, 1] + f[:, :, 2])
-        # Rows whose density jumps strictly inside a cell: redo with split pieces.
-        for j in range(j0, j1):
-            for i, cuts in self._splits.get(j, ()):
-                wl[i, j - j0], wr[i, j - j0] = self._split_weights(i, j, cuts)
         return wl, wr
-
-    def _split_weights(self, i: int, j: int, cuts: list[float]) -> tuple[float, float]:
-        """Row i's weights of cell j, integrating each smooth piece between its cuts."""
-        x = self.nodes
-        p, q = x[j], x[j + 1]
-        dx = q - p
-        wli = wri = 0.0
-        edges = [p, *cuts, q]
-        for a, b in zip(edges[:-1], edges[1:]):
-            w = b - a
-            if w <= 0.0:
-                continue
-            sub = np.array([a + _EDGE_NUDGE * w, 0.5 * (a + b), b - _EDGE_NUDGE * w])
-            fv = np.asarray(self.model.kernel.density(sub, float(x[i])))
-            alpha = (q - sub) / dx  # interpolation weight onto the left endpoint
-            wli += w / 6.0 * (fv[0] * alpha[0] + 4.0 * fv[1] * alpha[1] + fv[2] * alpha[2])
-            wri += w / 6.0 * (fv[0] * (1 - alpha[0]) + 4.0 * fv[1] * (1 - alpha[1]) + fv[2] * (1 - alpha[2]))
-        return wli, wri
 
     def _right_col(self, k: int) -> np.ndarray:
         """Weight column of node k in its role as the right endpoint of cell k-1."""
@@ -214,15 +180,6 @@ def _raw_rewards(model: StoppingModel, nodes: np.ndarray) -> tuple[np.ndarray, n
     c = np.asarray(model.reward_wait(nodes), dtype=float)
     r = np.asarray(model.reward_transplant(nodes), dtype=float)
     return c, r
-
-
-def bellman_backup(model: StoppingModel, V: GridValueFunction, dynamics: GridDynamics | None = None) -> GridValueFunction:
-    """One backup of the optimality recursion on V's grid."""
-    dyn = dynamics if dynamics is not None else GridDynamics(model, V.nodes)
-    c, r = _raw_rewards(model, dyn.nodes)
-    cont = dyn.continuation(V.values)
-    out = np.where(dyn.alive, np.maximum(r, c + model.discount * cont), 0.0)
-    return GridValueFunction(dyn.nodes, out, iterations=V.iterations + 1)
 
 
 def value_iterate(

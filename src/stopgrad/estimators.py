@@ -26,12 +26,11 @@ import numpy as np
 
 from .kernel import DomainError
 from .model import StoppingModel
-from .sim import ReplicationStreams, _paths_from_uniforms, block_ranges, map_blocks, simulate_path
+from .sim import ReplicationStreams, _paths_from_uniforms, block_ranges, map_blocks
 
 __all__ = [
     "DegenerateHazardError",
     "GradEstimate",
-    "spa_single_rep",
     "spa_estimate",
     "fd_estimate",
     "ipa_estimate",
@@ -86,72 +85,28 @@ def _hazard(model: StoppingModel, theta: float, h_prev: np.ndarray) -> np.ndarra
     return dens / tail
 
 
-def spa_single_rep(
-    model: StoppingModel,
-    theta: float,
-    h0: float,
-    horizon: int,
-    rng,
-    aux_reps: int = 1,
-) -> float:
-    """One replication of the crossing-event estimator (scalar reference path).
-
-    Simulates the nominal path, and if the stopping event fired at some period
-    M >= 1, returns hazard(theta | h_{M-1}) times the bracket; paths with no
-    perturbable crossing (death first, horizon reached, or an immediate stop at
-    a fixed initial state) contribute zero.  Auxiliary continuations restart
-    from the threshold value itself, having waited at M, and then follow the
-    policy; draws come from the same rng, after the nominal path's draws.
-    """
-    if not (0.0 < theta < model.H):
-        raise DomainError("theta must lie strictly inside (0, H)")
-    if aux_reps < 1:
-        raise ValueError("aux_reps must be >= 1")
-    traj = simulate_path(model, theta, h0, horizon, rng)
-    M = traj.stop_index
-    if M is None or M == 0:
-        return 0.0
-    h_prev = float(traj.states[M - 1])
-    hz = float(_hazard(model, theta, np.asarray(h_prev)))
-    lam = model.discount
-    disc_m = 1.0
-    for _ in range(M):
-        disc_m *= lam
-    tail = 0.0
-    for _ in range(aux_reps):
-        state = theta
-        disc = disc_m
-        for _i in range(M + 1, horizon + 1):
-            state = float(model.kernel.sample_next(state, rng))
-            disc *= lam
-            if state >= model.H_D:
-                break
-            if state >= theta:
-                tail += disc * model.transplant_reward(state)
-                break
-            tail += disc * model.wait_reward(state)
-    tail /= aux_reps
-    bracket = disc_m * (model.wait_reward(theta) - model.transplant_reward(theta)) + tail
-    return hz * bracket
-
-
 def _spa_tail(
     model: StoppingModel,
     theta: float,
     horizon: int,
     aux_reps: int,
-    stop_index: np.ndarray,
+    cross_index: np.ndarray,
     disc_at_stop: np.ndarray,
     U_aux: np.ndarray,
 ) -> np.ndarray:
-    """Vectorized auxiliary continuations; row layout mirrors `spa_single_rep`."""
+    """Mean discounted reward of `aux_reps` policy paths restarted from theta.
+
+    Row i's continuation j waits at theta in period cross_index[i], then draws
+    its k-th transition from U_aux[i, j * horizon + k] until it stops, dies or
+    reaches the horizon.
+    """
     lam = model.discount
-    n = stop_index.size
+    n = cross_index.size
     tail = np.zeros(n)
     for j in range(aux_reps):
         state = np.full(n, float(theta))
         disc = disc_at_stop.copy()
-        act = np.nonzero(stop_index + 1 <= horizon)[0]
+        act = np.nonzero(cross_index + 1 <= horizon)[0]
         t = 0
         while act.size:
             t += 1
@@ -166,7 +121,7 @@ def _spa_tail(
             stay = live[~crossed]
             if stay.size:
                 tail[stay] += disc[stay] * model.wait_reward(state[stay])
-            act = stay[stop_index[stay] + t + 1 <= horizon]
+            act = stay[cross_index[stay] + t + 1 <= horizon]
     return tail / aux_reps
 
 
@@ -183,13 +138,15 @@ def _spa_block(
     U = streams.uniform_rows(ReplicationStreams.PATH, lo, hi, horizon)
     batch = _paths_from_uniforms(model, theta, h0, horizon, U)
     out = np.zeros(hi - lo)
-    idx = np.nonzero(batch.stop_index >= 1)[0]
+    # The hazard conditions on h_M >= theta, dead or alive, so every row that
+    # crossed at M >= 1 contributes, also one whose crossing state is dead.
+    idx = np.nonzero(batch.cross_index >= 1)[0]
     if idx.size == 0:
         return out
     hz = _hazard(model, theta, batch.h_prev[idx])
     U_aux = streams.uniform_rows(ReplicationStreams.AUX, lo, hi, aux_reps * horizon)
     tail = _spa_tail(model, theta, horizon, aux_reps,
-                     batch.stop_index[idx], batch.disc_at_stop[idx], U_aux[idx])
+                     batch.cross_index[idx], batch.disc_at_stop[idx], U_aux[idx])
     bracket = batch.disc_at_stop[idx] * (model.wait_reward(theta) - model.transplant_reward(theta)) + tail
     out[idx] = hz * bracket
     return out

@@ -1,4 +1,4 @@
-"""Patient-health transition kernels: densities, tail masses, sampling, IFR checks."""
+"""Patient-health transition kernels: densities, tail masses, inverse CDFs, IFR checks."""
 
 from __future__ import annotations
 
@@ -46,12 +46,12 @@ class TransitionKernel(abc.ABC):
     """One-step Markov kernel for the waiting dynamics on the health interval [0, H].
 
     A kernel is a density part plus optional point masses at absorbing states
-    (`point_masses`).  Sampling is inverse-CDF with exactly one uniform draw per
-    transition, which keeps common-random-number coupling exact and makes the
-    draw count per path deterministic.
+    (`point_masses`).  Sampling is inverse-CDF (`ppf`) with exactly one uniform
+    draw per transition, which keeps common-random-number coupling exact and
+    makes the draw count per path deterministic.
 
     Kernels are immutable after construction and safe to share across worker
-    processes; all randomness enters through the rng passed to `sample_next`.
+    processes; all randomness enters through the uniforms passed to `ppf`.
     """
 
     H: float = 1.0
@@ -65,48 +65,19 @@ class TransitionKernel(abc.ABC):
     def density(self, h_next, h_cur):
         """Density f(h_next | h_cur) of the next health state."""
 
+    @abc.abstractmethod
     def tail_mass(self, a, h_cur):
-        """P(h_next >= a | h_cur).  Closed form where available, quadrature otherwise."""
-        a_arr = _check_state(a, self.H, "a")
-        h_arr = _check_state(h_cur, self.H, "h_cur")
-        b = np.broadcast(a_arr, h_arr)
-        out = np.empty(b.shape)
-        flat = out.reshape(-1)
-        for i, (ai, hi) in enumerate(np.nditer([a_arr, h_arr])):
-            m = integrate_density(self, float(hi), float(ai), self.H)
-            m += sum(w for loc, w in self.point_masses(float(hi)) if loc >= ai)
-            flat[i] = min(max(m, 0.0), 1.0)
-        return _scalar_like(out, a_arr, h_arr)
+        """P(h_next >= a | h_cur), point masses included."""
 
+    @abc.abstractmethod
     def ppf(self, u, h_cur):
-        """Inverse CDF: the state reached from h_cur when the uniform draw is u.
-
-        Default is a bisection on `tail_mass`; kernels with closed-form inverses
-        or point masses should override.
-        """
-        u_arr = np.asarray(u, dtype=float)
-        h_arr = _check_state(h_cur, self.H, "h_cur")
-        u_b, h_b = np.broadcast_arrays(u_arr, h_arr)
-        lo = np.zeros(u_b.shape)
-        hi = np.full(u_b.shape, self.H)
-        target = 1.0 - u_b  # solve tail_mass(x | h) = 1 - u
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            t = np.asarray(self.tail_mass(mid, h_b))
-            go_right = t > target
-            lo = np.where(go_right, mid, lo)
-            hi = np.where(go_right, hi, mid)
-        out = 0.5 * (lo + hi)
-        return _scalar_like(out, u_arr, h_arr)
-
-    def sample_next(self, h_cur, rng):
-        """Draw the next state; consumes exactly one uniform per state."""
-        h_arr = _check_state(h_cur, self.H, "h_cur")
-        u = rng.random() if h_arr.ndim == 0 else rng.random(h_arr.shape)
-        return self.ppf(u, h_arr if h_arr.ndim else float(h_arr))
+        """Inverse CDF: the state reached from h_cur when the uniform draw is u."""
 
     def density_discontinuities(self, h_cur: float) -> tuple[float, ...]:
-        """Jump locations of h' -> density(h' | h_cur), used to split quadrature panels."""
+        """Jump locations of h' -> density(h' | h_cur), used to split quadrature panels.
+
+        `dp.GridDynamics` requires every jump of a living row to fall on a grid node.
+        """
         return ()
 
     def point_masses(self, h_cur: float) -> tuple[tuple[float, float], ...]:

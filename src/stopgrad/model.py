@@ -1,8 +1,7 @@
-"""The stopping-problem instance: rewards, discounting, policies, assumption audits."""
+"""The stopping-problem instance: rewards, discounting, assumption audits."""
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -11,21 +10,14 @@ import numpy as np
 from .kernel import DomainError, TransitionKernel, check_ifr, integrate_density
 
 __all__ = [
-    "Action",
     "ConstantReward",
     "LinearReward",
     "TabulatedReward",
     "StoppingModel",
-    "ControlLimitPolicy",
     "AssumptionResult",
     "AssumptionReport",
     "check_assumptions",
 ]
-
-
-class Action(enum.Enum):
-    WAIT = "wait"
-    TRANSPLANT = "transplant"
 
 
 @dataclass(frozen=True)
@@ -127,9 +119,6 @@ class StoppingModel:
         out = np.where(hv >= self.H_D, 0.0, np.asarray(self.reward_transplant(hv), dtype=float))
         return float(out) if np.ndim(h) == 0 else out
 
-    def stage_reward(self, h, action: Action):
-        return self.transplant_reward(h) if action is Action.TRANSPLANT else self.wait_reward(h)
-
     def truncation_bound(self, horizon: int) -> float:
         """Bound on the value mass discarded by truncating paths after `horizon` periods."""
         if self.discount >= 1.0:
@@ -141,30 +130,6 @@ class StoppingModel:
         if np.any(hv < 0.0) or np.any(hv > self.H) or np.any(np.isnan(hv)):
             raise DomainError(f"health state must lie in [0, {self.H}]")
         return hv
-
-
-@dataclass(frozen=True)
-class ControlLimitPolicy:
-    """Stationary threshold policy: transplant exactly when h >= theta.
-
-    The tie at h == theta resolves to TRANSPLANT; the crossing-event estimators
-    depend on this convention.
-    """
-
-    theta: float
-    H: float = 1.0
-
-    def __post_init__(self):
-        if not (0.0 <= self.theta <= self.H):
-            raise ValueError("theta must lie in [0, H]")
-
-    def action(self, h) -> Action:
-        if not (0.0 <= h <= self.H):
-            raise DomainError(f"health state must lie in [0, {self.H}]")
-        return Action.TRANSPLANT if h >= self.theta else Action.WAIT
-
-    def transplant_mask(self, h):
-        return np.asarray(h, dtype=float) >= self.theta
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ bit-identical for any worker count.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from typing import Callable, Sequence
 
@@ -20,9 +20,7 @@ from .model import StoppingModel
 
 __all__ = [
     "ReplicationStreams",
-    "Trajectory",
     "PathBatch",
-    "simulate_path",
     "sample_paths",
     "estimate_value",
 ]
@@ -89,31 +87,20 @@ class ReplicationStreams:
             out[lo - rep_lo : hi - rep_lo] = gen.random((hi - lo, ncols))
         return out
 
-    def stream(self, rep_id: int, purpose: int = 0) -> np.random.Generator:
-        """Standalone generator for ad-hoc single-path use (disjoint from block draws)."""
-        if rep_id < 0:
-            raise ValueError("rep_id must be nonnegative")
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.domain, 16 + purpose, rep_id))
-        return np.random.Generator(np.random.PCG64(ss))
-
-
-@dataclass
-class Trajectory:
-    """One simulated path: visited states, how it ended, and its discounted reward."""
-
-    states: np.ndarray
-    stop_index: int | None
-    died: bool
-    horizon: int
-    discounted_reward: float
-
 
 @dataclass
 class PathBatch:
-    """Vectorized per-replication path summaries (stop_index = -1 when no transplant)."""
+    """Vectorized per-replication path summaries.
+
+    `stop_index` is the transplant period (-1 when none).  `cross_index` is the
+    first period whose state is >= theta, also when that state is dead (-1 when
+    none); `disc_at_stop` is the discount at that period and `h_prev` the state
+    just before it.
+    """
 
     value: np.ndarray
     stop_index: np.ndarray
+    cross_index: np.ndarray
     died: np.ndarray
     h_stop: np.ndarray
     h_prev: np.ndarray
@@ -129,39 +116,14 @@ def _check_sim_args(model: StoppingModel, theta: float, h0: float, horizon: int)
         raise ValueError("horizon must be nonnegative")
 
 
-def simulate_path(model: StoppingModel, theta: float, h0: float, horizon: int, rng) -> Trajectory:
-    """Simulate one path under the threshold policy through period `horizon`.
-
-    Periods accrue the waiting reward until the state crosses theta (transplant,
-    terminal reward, path ends) or enters the death region (path ends, zero
-    rewards).  One uniform draw is consumed per transition taken.
-    """
-    _check_sim_args(model, theta, h0, horizon)
-    lam = model.discount
-    states = [float(h0)]
-    v = 0.0
-    disc = 1.0
-    stop_index: int | None = None
-    died = False
-    for k in range(horizon + 1):
-        h = states[-1]
-        if h >= model.H_D:
-            died = True
-            break
-        if h >= theta:
-            v += disc * model.transplant_reward(h)
-            stop_index = k
-            break
-        v += disc * model.wait_reward(h)
-        if k == horizon:
-            break
-        states.append(float(model.kernel.sample_next(h, rng)))
-        disc *= lam
-    return Trajectory(np.asarray(states), stop_index, died, horizon, v)
-
-
 def _paths_from_uniforms(model: StoppingModel, theta: float, h0: float, horizon: int, U: np.ndarray) -> PathBatch:
-    """Vectorized twin of `simulate_path`: row i consumes U[i, k] for its k-th transition."""
+    """Simulate one path per row of U under the threshold policy through period `horizon`.
+
+    Periods accrue the waiting reward until the state reaches theta (transplant,
+    terminal reward, path ends; the tie h == theta transplants, which the
+    crossing-event estimator relies on) or enters the death region (path ends,
+    zero rewards).  Row i consumes U[i, k] for its k-th transition.
+    """
     rows = U.shape[0]
     lam = model.discount
     h = np.full(rows, float(h0))
@@ -169,6 +131,7 @@ def _paths_from_uniforms(model: StoppingModel, theta: float, h0: float, horizon:
     h_stop = np.full(rows, np.nan)
     value = np.zeros(rows)
     stop_index = np.full(rows, -1, dtype=np.int64)
+    dead_cross_index = np.full(rows, -1, dtype=np.int64)
     disc_at_stop = np.zeros(rows)
     died = np.zeros(rows, dtype=bool)
     active = np.arange(rows)
@@ -178,7 +141,11 @@ def _paths_from_uniforms(model: StoppingModel, theta: float, h0: float, horizon:
             break
         hk = h[active]
         dead = hk >= model.H_D
-        died[active[dead]] = True
+        if dead.any():
+            died[active[dead]] = True
+            dead_cross = active[dead & (hk >= theta)]
+            dead_cross_index[dead_cross] = k
+            disc_at_stop[dead_cross] = disc
         live = active[~dead]
         cross = h[live] >= theta
         ic = live[cross]
@@ -197,7 +164,9 @@ def _paths_from_uniforms(model: StoppingModel, theta: float, h0: float, horizon:
         else:
             active = np.empty(0, dtype=np.int64)
         disc *= lam
-    return PathBatch(value, stop_index, died, h_stop, h_prev, disc_at_stop)
+    # A row either transplants or dies at its crossing, so the two indices merge.
+    cross_index = np.maximum(dead_cross_index, stop_index)
+    return PathBatch(value, stop_index, cross_index, died, h_stop, h_prev, disc_at_stop)
 
 
 def block_ranges(reps: int, block_rows: int) -> list[tuple[int, int]]:
@@ -237,8 +206,7 @@ def sample_paths(
         raise ValueError("reps must be positive")
     fn = partial(_path_block, model, theta, h0, horizon, streams)
     parts = map_blocks(fn, block_ranges(reps, streams.block_rows), workers)
-    return PathBatch(*(np.concatenate([getattr(p, f) for p in parts]) for f in
-                       ("value", "stop_index", "died", "h_stop", "h_prev", "disc_at_stop")))
+    return PathBatch(*(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(PathBatch)))
 
 
 def estimate_value(

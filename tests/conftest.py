@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from stopgrad import ReplicationStreams, StoppingModel, build_model, load_config
@@ -12,17 +13,33 @@ from stopgrad import ReplicationStreams, StoppingModel, build_model, load_config
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
-class ReplayRng:
-    """Feeds a fixed sequence of uniforms to scalar simulation code."""
+def replay(model: StoppingModel, theta: float, h0: float, horizon: int, u) -> tuple[list[float], float, int | None, bool]:
+    """One path replayed from its draw row u, one draw per transition, written
+    from the model's definition: (visited states, discounted reward, transplant
+    period or None, died)."""
+    states, v, disc = [float(h0)], 0.0, 1.0
+    for k in range(horizon + 1):
+        h = states[-1]
+        if h >= model.H_D:
+            return states, v, None, True
+        if h >= theta:
+            return states, v + disc * model.transplant_reward(h), k, False
+        v += disc * model.wait_reward(h)
+        if k < horizon:
+            states.append(float(model.kernel.ppf(u[k], h)))
+            disc *= model.discount
+    return states, v, None, False
 
-    def __init__(self, values):
-        self._values = list(float(v) for v in values)
-        self.consumed = 0
 
-    def random(self):
-        v = self._values[self.consumed]
-        self.consumed += 1
-        return v
+class FixedStreams:
+    """Stands in for ReplicationStreams, serving fixed path and auxiliary draw rows."""
+
+    def __init__(self, U, U_aux):
+        self._rows = {ReplicationStreams.PATH: np.asarray(U, dtype=float),
+                      ReplicationStreams.AUX: np.asarray(U_aux, dtype=float)}
+
+    def uniform_rows(self, purpose, rep_lo, rep_hi, ncols):
+        return self._rows[purpose][rep_lo:rep_hi, :ncols]
 
 
 @pytest.fixture(scope="session")

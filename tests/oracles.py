@@ -4,9 +4,9 @@ Everything here is computed from first principles with plain numpy quadrature
 and closed-form probability, with no imports from the package under test, so
 these values can safely pin the estimators and solvers.
 
-Scenario conventions: state space [0, 1], next state Uniform[current, 1],
-waiting reward c constant, transplant reward r(h) = r0 * (1 - h), start h0 = 0,
-no interior death region.
+Scenario conventions, except for `derivative_closed_form`: state space [0, 1],
+next state Uniform[current, 1], waiting reward c constant, transplant reward
+r(h) = r0 * (1 - h), start h0 = 0, no interior death region.
 """
 
 from __future__ import annotations
@@ -78,3 +78,33 @@ def continuation_mean_reward(theta: float) -> float:
     """E[r(h')] for h' ~ Uniform[theta, 1], by quadrature (equals (R0/2)(1-theta))."""
     dens = 1.0 / (1.0 - theta)
     return simpson(lambda y: R0 * (1.0 - y) * dens, theta, 1.0)
+
+
+def derivative_closed_form(theta, lam, h0, H_D, c, r, knots=()) -> float:
+    """dV/dtheta of the infinite-horizon threshold policy for any model the
+    config accepts: next state Uniform[h, 1], death region [H_D, 1], start h0,
+    rewards c and r given as callables whose kinks are listed in `knots`.
+
+    Before the crossing, the visited states after period 0 form a rate-1
+    Poisson process in t = -ln(1 - h), so their expected discounted count per
+    unit h is g(h) = lam ((1 - h)/(1 - h0))^(1 - lam) / (1 - h).  A crossing
+    from state h lands Uniform[theta, 1], so with
+    P(theta) = 1/(1 - h0) + int_h0^theta g(h)/(1 - h) dh and
+    R(theta) = int_theta^H_D r dh the value is
+    V = c(h0) + int_h0^theta c g dh + lam P R, whose derivative is returned.
+    V does not depend on theta when theta <= h0 (immediate transplant) or
+    theta >= H_D (no living state transplants).
+    """
+    if theta <= h0 or theta >= H_D:
+        return 0.0
+
+    def g(h):
+        return lam * ((1.0 - h) / (1.0 - h0)) ** (1.0 - lam) / (1.0 - h)
+
+    def integral(f, a, b):
+        edges = [a, *sorted(k for k in knots if a < k < b), b]
+        return sum(simpson(f, p, q) for p, q in zip(edges[:-1], edges[1:]))
+
+    P = 1.0 / (1.0 - h0) + integral(lambda h: g(h) / (1.0 - h), h0, theta)
+    R = integral(r, theta, H_D)
+    return float(c(theta) * g(theta) + lam * g(theta) / (1.0 - theta) * R - lam * P * r(theta))

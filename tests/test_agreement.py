@@ -1,0 +1,90 @@
+"""Randomized agreement of the estimators and the DP oracle with the closed form.
+
+Every config drawn here passes `validate_config`: uniform deterioration with
+any discount, death threshold H_D, start state h0 and constant, linear or
+tabulated rewards.  `oracles.derivative_closed_form` is the reference; it
+imports nothing from the package.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from oracles import derivative_closed_form
+from stopgrad import ReplicationStreams, build_model, fd_estimate, oracle_derivative, spa_estimate
+from stopgrad.config import ExperimentConfig, validate_config
+
+HORIZON = 200
+REPS = 20_000
+DELTA = 0.01    # finite-difference width
+DTHETA = 1e-3   # oracle_derivative's default step
+SEED_SPA = 5301
+SEED_FD = 5302
+
+
+def _reward(kind: str, args) -> tuple[str, tuple[float, ...], tuple[float, ...]]:
+    """Config spec of a reward, and the knots (xs, ys) of its piecewise-linear graph."""
+    if kind == "constant":
+        return f"constant {args[0]}", (0.0, 1.0), (args[0], args[0])
+    if kind == "linear-decreasing":
+        return f"linear-decreasing {args[0]} {args[1]}", (0.0, 1.0), tuple(args)
+    return "table " + " ".join(f"{x}:{y}" for x, y in args), tuple(x for x, _ in args), tuple(y for _, y in args)
+
+
+_levels = st.integers(0, 40).map(lambda k: k / 4)
+_rewards = st.one_of(
+    st.tuples(st.just("constant"), st.tuples(_levels)),
+    st.tuples(st.just("linear-decreasing"), st.tuples(_levels, _levels)),
+    st.tuples(
+        st.just("table"),
+        st.lists(st.tuples(st.integers(1, 19).map(lambda k: k / 20), _levels),
+                 min_size=2, max_size=3, unique_by=lambda p: p[0]).map(lambda ps: tuple(sorted(ps))),
+    ),
+)
+
+_AUX_DEATH = dict(lam=0.97, H_D=0.6, h0=0.0, wait=("constant", (0.5,)), transplant=("linear-decreasing", (8.0, 0.0)))
+_TABLES = dict(lam=0.95, H_D=0.9, h0=0.1, wait=("table", ((0.2, 1.0), (0.7, 0.5))),
+               transplant=("table", ((0.1, 9.0), (0.5, 5.0), (0.8, 1.0))))
+
+
+@settings(max_examples=6, derandomize=True, deadline=None, database=None)
+@example(**_AUX_DEATH, theta=0.4)
+@example(**_AUX_DEATH, theta=0.7)
+@example(**_TABLES, theta=0.6)
+@example(**_TABLES, theta=0.05)
+@example(**_TABLES, theta=0.95)
+@given(
+    lam=st.integers(85, 97).map(lambda k: k / 100),
+    H_D=st.one_of(st.just(1.0), st.integers(40, 95).map(lambda k: k / 100)),
+    h0=st.one_of(st.just(0.0), st.integers(1, 30).map(lambda k: k / 100)),
+    wait=_rewards,
+    transplant=_rewards,
+    theta=st.integers(2, 90).map(lambda k: k / 100),
+)
+def test_estimators_agree_with_closed_form(lam, H_D, h0, wait, transplant, theta):
+    cfg = ExperimentConfig()
+    c_spec, c_xs, c_ys = _reward(*wait)
+    r_spec, r_xs, r_ys = _reward(*transplant)
+    cfg.model.discount, cfg.model.H_D = lam, H_D
+    cfg.model.reward_wait, cfg.model.reward_transplant = c_spec, r_spec
+    cfg.run.h0 = h0
+    assert validate_config(cfg) == []
+    model = build_model(cfg)
+
+    knots = (*c_xs, *r_xs)
+    truth = derivative_closed_form(theta, lam, h0, H_D, lambda h: np.interp(h, c_xs, c_ys),
+                                   lambda h: np.interp(h, r_xs, r_ys), knots)
+
+    spa = spa_estimate(model, theta, h0, HORIZON, REPS, 1, ReplicationStreams(SEED_SPA))
+    assert abs(spa.mean - truth) <= 4.0 * spa.se + 1e-9, f"spa {spa.mean} +- {spa.se} vs {truth}"
+
+    # Both checks below are central differences; V' or V'' jumps at these points.
+    clearance = min(abs(theta - k) for k in (h0, H_D, *knots))
+    if clearance >= 2.0 * DELTA:
+        fd = fd_estimate(model, theta, h0, HORIZON, REPS, DELTA, crn=True, streams=ReplicationStreams(SEED_FD))
+        assert abs(fd.mean - truth) <= 4.0 * fd.se + 1e-9, f"fd {fd.mean} +- {fd.se} vs {truth}"
+    if clearance >= 2.0 * DTHETA:
+        oracle = oracle_derivative(model, theta, h0, dtheta=DTHETA, num_nodes=1025)
+        assert abs(oracle - truth) <= 1e-5 * max(1.0, abs(truth)), f"oracle {oracle} vs {truth}"

@@ -1,0 +1,65 @@
+"""The package's public surface, pinned so that removed APIs cannot come back unnoticed.
+
+Removed on purpose: the scalar twins of the vectorized path and crossing-event
+kernels, the per-replication generator, the policy and action types, the
+per-action stage reward, the one-draw sampler of the kernel base class and the
+standalone Bellman backup.  Their behaviour is covered through the vectorized
+kernels, `value_iterate` and the closed form in `oracles`.
+"""
+
+from __future__ import annotations
+
+import importlib
+import inspect
+
+import pytest
+
+import stopgrad
+
+# Public functions and classes that each module defines.
+MODULES = {
+    "stopgrad.sim": {"PathBatch", "ReplicationStreams", "block_ranges", "estimate_value", "map_blocks",
+                     "sample_paths"},
+    "stopgrad.estimators": {"DegenerateHazardError", "GradEstimate", "fd_estimate", "ipa_estimate", "spa_estimate"},
+    "stopgrad.model": {"AssumptionReport", "AssumptionResult", "ConstantReward", "LinearReward", "StoppingModel",
+                       "TabulatedReward", "check_assumptions"},
+    "stopgrad.dp": {"ControlLimitResult", "ConvergenceError", "GridDynamics", "GridValueFunction", "PolicyValue",
+                    "extract_control_limit", "make_grid", "oracle_derivative", "policy_value", "policy_value_sweep",
+                    "value_iterate"},
+    "stopgrad.kernel": {"DomainError", "IfrReport", "TransitionKernel", "UniformDeteriorationKernel", "check_ifr",
+                        "integrate_density"},
+}
+
+# Public attributes of the classes that lost test-only methods.
+CLASSES = {
+    "ReplicationStreams": {"ALT", "AUX", "PATH", "block_rows", "child", "domain", "uniform_rows"},
+    "TransitionKernel": {"H", "density", "density_bound", "density_discontinuities", "point_masses", "ppf",
+                         "tail_mass"},
+    "StoppingModel": {"H", "H_D", "discount", "is_dead", "transplant_reward", "transplant_sup", "truncation_bound",
+                      "value_bound", "wait_reward", "wait_sup"},
+}
+
+
+def test_every_exported_name_imports():
+    for name in stopgrad.__all__:
+        ns: dict = {}
+        exec(f"from stopgrad import {name}", ns)
+        assert ns[name] is getattr(stopgrad, name)
+
+
+def test_package_exports_exactly_its_all():
+    public = {n for n, v in vars(stopgrad).items() if not n.startswith("_") and not inspect.ismodule(v)}
+    assert public == set(stopgrad.__all__)
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_module_surface_is_pinned(module):
+    mod = importlib.import_module(module)
+    defined = {n for n, v in vars(mod).items()
+               if not n.startswith("_") and (inspect.isfunction(v) or inspect.isclass(v)) and v.__module__ == module}
+    assert defined == MODULES[module]
+
+
+@pytest.mark.parametrize("cls", sorted(CLASSES))
+def test_class_surface_is_pinned(cls):
+    assert {n for n in vars(getattr(stopgrad, cls)) if not n.startswith("_")} == CLASSES[cls]

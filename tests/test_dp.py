@@ -11,7 +11,6 @@ from stopgrad.dp import (
     ConvergenceError,
     GridDynamics,
     GridValueFunction,
-    bellman_backup,
     extract_control_limit,
     make_grid,
     oracle_derivative,
@@ -39,16 +38,15 @@ class TestGridDynamics:
         cont = dyn.continuation(ones)
         np.testing.assert_allclose(cont[dyn.alive], 1.0, atol=1e-9)
 
-    def test_rows_integrate_with_cuts_off_the_grid(self):
-        # A kernel whose density jumps at 1 - h puts cuts strictly inside grid
-        # cells for nodes like 1/3, exercising the split-panel path.
+    def test_rejects_density_jumps_inside_cells(self):
+        # ImprovingKernel's density jumps at 1 - h: the node 1/3 puts a jump at
+        # 2/3, strictly inside a grid cell, where the cell weights would be wrong.
         from test_kernel import ImprovingKernel
 
         m = StoppingModel(ImprovingKernel(), ConstantReward(0.5), ConstantReward(0.0))
-        nodes = make_grid(m, 129, extra=(1.0 / 3.0, 0.123456789))
-        dyn = GridDynamics(m, nodes)
-        cont = dyn.continuation(np.ones(nodes.size))
-        np.testing.assert_allclose(cont[nodes < 1.0], 1.0, atol=1e-9)
+        for extra in ((1.0 / 3.0,), (0.123456789,), (1.0 / 3.0, 0.123456789)):
+            with pytest.raises(ValueError, match="inside a living grid cell"):
+                GridDynamics(m, make_grid(m, 129, extra=extra))
 
     @pytest.mark.parametrize("H_D", [1.0, 0.6])
     def test_uniform_kernel_moments_match_closed_form(self, H_D):
@@ -63,14 +61,15 @@ class TestGridDynamics:
             dyn.continuation(nodes)[live], (H_D**2 - x**2) / (2.0 * (1.0 - x)), rtol=0, atol=1e-12
         )
 
-    def test_mean_with_cuts_off_the_grid(self):
-        # h' ~ Uniform[0, 1 - x]; the cuts 1 - 1/3 and 1 - 0.123456789 fall inside cells.
+    def test_mean_with_jumps_on_other_nodes(self):
+        # h' ~ Uniform[0, 1 - x]; on the symmetric grid every jump 1 - x is a node.
         from test_kernel import ImprovingKernel
 
         m = StoppingModel(ImprovingKernel(), ConstantReward(0.5), ConstantReward(0.0))
-        nodes = make_grid(m, 129, extra=(1.0 / 3.0, 0.123456789))
+        nodes = make_grid(m, 129)
         dyn = GridDynamics(m, nodes)
         live = nodes < 1.0
+        np.testing.assert_allclose(dyn.continuation(np.ones(nodes.size))[live], 1.0, rtol=0, atol=1e-12)
         np.testing.assert_allclose(dyn.continuation(nodes)[live], (1.0 - nodes[live]) / 2.0, rtol=0, atol=1e-12)
 
     def test_one_sided_limits_at_a_jump_node(self, wsc_model):
@@ -87,10 +86,8 @@ class TestGridDynamics:
         np.testing.assert_allclose(cont, np.minimum(1.0, (1.0 - theta) / (1.0 - x)), rtol=0, atol=1e-12)
 
     def test_weights_do_not_depend_on_block_size(self, monkeypatch):
-        from test_kernel import ImprovingKernel
-
-        m = StoppingModel(ImprovingKernel(), ConstantReward(0.5), ConstantReward(0.0), H_D=0.7)
-        nodes = make_grid(m, 129, extra=(1.0 / 3.0, 0.123456789))
+        m = StoppingModel(UniformDeteriorationKernel(), ConstantReward(0.5), LinearReward(8.0, 0.0), H_D=0.6)
+        nodes = make_grid(m, 129, extra=(1.0 / 3.0,))
         k = int(np.searchsorted(nodes, 1.0 / 3.0))
         ref = GridDynamics(m, nodes)
         for block in (1, 7, nodes.size):
@@ -106,31 +103,27 @@ class TestGridDynamics:
 
 class TestBellman:
     def test_first_backup_is_max_of_rewards(self, wsc_model):
-        nodes = make_grid(wsc_model, 65)
-        v0 = GridValueFunction(nodes, np.zeros(nodes.size))
-        v1 = bellman_backup(wsc_model, v0)
+        v1 = value_iterate(wsc_model, max_iter=1, num_nodes=65)
+        nodes = v1.nodes
         interior = nodes < 1.0
         np.testing.assert_allclose(
             v1.values[interior], np.maximum(8.0 * (1.0 - nodes[interior]), 0.5), atol=1e-12
         )
 
     def test_first_backup_from_zero_at_origin(self, wsc_model):
-        nodes = make_grid(wsc_model, 65)
-        v1 = bellman_backup(wsc_model, GridValueFunction(nodes, np.zeros(nodes.size)))
+        v1 = value_iterate(wsc_model, max_iter=1, num_nodes=65)
         assert v1.values[0] == pytest.approx(8.0)
 
     def test_terminal_node_carries_living_side_limit(self, wsc_model):
         # The absorbing endpoint's slot stores the limit of living values, which
         # the quadrature requires; with V = 0 it is max(r(1), c(1)) = 0.5 here.
-        nodes = make_grid(wsc_model, 65)
-        v1 = bellman_backup(wsc_model, GridValueFunction(nodes, np.zeros(nodes.size)))
+        v1 = value_iterate(wsc_model, max_iter=1, num_nodes=65)
         assert v1.values[-1] == pytest.approx(0.5)
 
     def test_interior_death_region_stays_zero(self):
         m = StoppingModel(UniformDeteriorationKernel(), ConstantReward(0.5), LinearReward(8.0, 0.0), H_D=0.6)
-        nodes = make_grid(m, 65)
-        v1 = bellman_backup(m, GridValueFunction(nodes, np.zeros(nodes.size)))
-        assert np.all(v1.values[nodes > 0.6] == 0.0)
+        v1 = value_iterate(m, max_iter=1, num_nodes=65)
+        assert np.all(v1.values[v1.nodes > 0.6] == 0.0)
 
 
 class TestValueIteration:
@@ -141,13 +134,11 @@ class TestValueIteration:
         assert wsc_vi.iterations <= bound
 
     def test_iterates_nondecreasing(self, wsc_model):
-        nodes = make_grid(wsc_model, 129)
-        dyn = GridDynamics(wsc_model, nodes)
-        v = GridValueFunction(nodes, np.zeros(nodes.size))
-        for _ in range(40):
-            v_next = bellman_backup(wsc_model, v, dyn)
-            assert float((v.values - v_next.values).max()) <= 1e-10
-            v = v_next
+        prev = value_iterate(wsc_model, max_iter=0, num_nodes=129).values
+        for k in range(1, 41):
+            v = value_iterate(wsc_model, max_iter=k, num_nodes=129).values
+            assert float((prev - v).max()) <= 1e-10
+            prev = v
 
     def test_zero_budget_returns_zero_function_with_flag(self, wsc_model):
         v = value_iterate(wsc_model, max_iter=0)

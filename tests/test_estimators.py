@@ -3,8 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import ReplayRng
-from oracles import continuation_mean_reward
+from conftest import FixedStreams, replay
+from oracles import continuation_mean_reward, derivative_closed_form
 from stopgrad.estimators import (
     DegenerateHazardError,
     GradEstimate,
@@ -13,11 +13,10 @@ from stopgrad.estimators import (
     fd_estimate,
     ipa_estimate,
     spa_estimate,
-    spa_single_rep,
 )
 from stopgrad.kernel import DomainError, TransitionKernel, UniformDeteriorationKernel
 from stopgrad.model import ConstantReward, LinearReward, StoppingModel
-from stopgrad.sim import ReplicationStreams, simulate_path
+from stopgrad.sim import ReplicationStreams
 
 LAM = 0.97
 
@@ -30,6 +29,9 @@ class FrozenKernel(TransitionKernel):
     def density(self, h_next, h_cur):
         out = np.zeros(np.broadcast(np.asarray(h_next), np.asarray(h_cur)).shape)
         return float(out) if out.shape == () else out
+
+    def tail_mass(self, a, h_cur):
+        return np.where(np.asarray(a) <= np.asarray(h_cur), 1.0, 0.0)
 
     def ppf(self, u, h_cur):
         hc = np.asarray(h_cur, dtype=float)
@@ -48,14 +50,21 @@ class TestGradEstimate:
         assert g.reps == 4 and g.values.size == 4
 
 
+def _spa_rows(model, theta, h0, horizon, U, U_aux):
+    """Per-row crossing-event estimates for explicit path and auxiliary draws."""
+    U, U_aux = np.atleast_2d(U), np.atleast_2d(U_aux)
+    return _spa_block(model, theta, h0, horizon, 1, FixedStreams(U, U_aux), 0, U.shape[0])
+
+
 class TestSpaSingleRep:
     def test_no_crossing_contributes_zero(self, wsc_model):
         # One small draw keeps the path below the threshold through the horizon.
-        assert spa_single_rep(wsc_model, 0.9, 0.0, 1, ReplayRng([0.1])) == 0.0
+        assert _spa_rows(wsc_model, 0.9, 0.0, 1, [0.1], [np.nan])[0] == 0.0
 
     def test_start_above_threshold_contributes_zero(self, wsc_model):
         # A deterministic initial state above theta has no perturbable crossing.
-        assert spa_single_rep(wsc_model, 0.9, 0.95, 5, ReplayRng([])) == 0.0
+        nan = np.full(5, np.nan)
+        assert _spa_rows(wsc_model, 0.9, 0.95, 5, nan, nan)[0] == 0.0
 
     def test_hazard_simplifies_for_uniform_kernel(self, wsc_model):
         for hprev in (0.0, 0.3, 0.49):
@@ -65,20 +74,18 @@ class TestSpaSingleRep:
     def test_known_path_value(self, wsc_model):
         # Nominal: 0 -> 0.4 (u=0.4) -> 0.7 (u=0.5, crosses 0.5 at M=2);
         # auxiliary from theta=0.5 with u=0.5 -> 0.75 >= theta, stops at period 3.
+        # Draws after those are never read.
         theta, lam = 0.5, LAM
-        rng = ReplayRng([0.4, 0.5, 0.5])
-        got = spa_single_rep(wsc_model, theta, 0.0, 10, rng)
+        got = _spa_rows(wsc_model, theta, 0.0, 10, [0.4, 0.5] + [np.nan] * 8, [0.5] + [np.nan] * 9)[0]
         disc2 = lam * lam
         tail = disc2 * lam * 8.0 * (1.0 - 0.75)
         expect = (1.0 / 0.5) * (disc2 * (0.5 - 4.0) + tail)
         assert got == pytest.approx(expect, rel=1e-12)
-        assert rng.consumed == 3
 
     def test_theta_must_be_interior(self, wsc_model):
-        with pytest.raises(DomainError):
-            spa_single_rep(wsc_model, 0.0, 0.0, 10, ReplayRng([]))
-        with pytest.raises(DomainError):
-            spa_single_rep(wsc_model, 1.0, 0.0, 10, ReplayRng([]))
+        for theta in (0.0, 1.0):
+            with pytest.raises(DomainError):
+                spa_estimate(wsc_model, theta, 0.0, 10, 10, 1, ReplicationStreams(1))
 
     def test_unit_discount_closed_form(self):
         # With discount 1 the per-replication value is hazard * (c - r + r(h'))
@@ -107,11 +114,11 @@ class TestSpaBatch:
     def _reference(model, theta, h0, horizon, aux_reps, U, U_aux):
         out = np.zeros(U.shape[0])
         for i in range(U.shape[0]):
-            tr = simulate_path(model, theta, h0, horizon, ReplayRng(U[i]))
-            M = tr.stop_index
-            if M is None or M == 0:
+            states = replay(model, theta, h0, horizon, U[i])[0]
+            M = len(states) - 1  # the crossing period, when the last state is >= theta
+            if states[-1] < theta or M == 0:
                 continue
-            hprev = float(tr.states[M - 1])
+            hprev = states[M - 1]
             hz = model.kernel.density(theta, hprev) / model.kernel.tail_mass(theta, hprev)
             disc_m = 1.0
             for _ in range(M):
@@ -156,14 +163,17 @@ class TestSpaBatch:
         large = spa_estimate(wsc_model, 0.5, 0.0, 200, 40_000, 1, s)
         assert small.se / large.se == pytest.approx(2.0, rel=0.15)
 
-    def test_death_scenario_matches_scalar_reference(self):
+    def test_death_scenario_matches_closed_form(self):
+        # H_D = 0.6: paths whose crossing state is already dead still carry the
+        # bracket; at theta >= H_D every contribution is exactly zero.
         m = StoppingModel(UniformDeteriorationKernel(), ConstantReward(0.5), LinearReward(8.0, 0.0), H_D=0.6)
         streams = ReplicationStreams(626)
-        got = _spa_block(m, 0.4, 0.0, 30, 2, streams, 0, 300)
-        U = streams.uniform_rows(ReplicationStreams.PATH, 0, 300, 30)
-        U_aux = streams.uniform_rows(ReplicationStreams.AUX, 0, 300, 2 * 30)
-        ref = self._reference(m, 0.4, 0.0, 30, 2, U, U_aux)
-        np.testing.assert_array_equal(got, ref)
+        for theta in (0.2, 0.4, 0.55, 0.7):
+            truth = derivative_closed_form(theta, LAM, 0.0, 0.6, lambda h: 0.5, lambda h: 8.0 * (1.0 - h))
+            est = spa_estimate(m, theta, 0.0, 200, 40_000, 1, streams)
+            assert abs(est.mean - truth) <= 4.0 * est.se + 1e-9, f"theta={theta}: {est.mean} vs {truth}"
+            if theta >= 0.6:
+                assert truth == 0.0 and np.all(est.values == 0.0)
 
 
 class TestFiniteDifferences:

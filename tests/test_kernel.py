@@ -48,23 +48,6 @@ class ImprovingKernel(TransitionKernel):
         return (1.0 - h_cur,) if h_cur > 0.0 else ()
 
 
-class TriangularKernel(TransitionKernel):
-    """Density 2(h'-h)/(1-h)^2 on [h, 1]; only the density is implemented, so the
-    quadrature/bisection defaults of the base class are exercised."""
-
-    H = 1.0
-
-    def density(self, h_next, h_cur):
-        hn = np.asarray(h_next, dtype=float)
-        hc = np.asarray(h_cur, dtype=float)
-        width = np.where(hc < 1.0, 1.0 - hc, 1.0)
-        out = np.where((hc < 1.0) & (hn >= hc) & (hn <= 1.0), 2.0 * (hn - hc) / width**2, 0.0)
-        return float(out) if np.ndim(h_next) == 0 and np.ndim(h_cur) == 0 else out
-
-    def density_discontinuities(self, h_cur):
-        return (h_cur,) if h_cur < 1.0 else ()
-
-
 class TestDensity:
     def test_paper_value(self, uk):
         assert uk.density(0.7, 0.5) == pytest.approx(2.0)
@@ -126,19 +109,8 @@ class TestSampling:
             assert uk.ppf(u, 0.5) == pytest.approx(0.5 + 0.5 * u)
 
     def test_absorbing_endpoint(self, uk):
-        rng = np.random.default_rng(0)
-        assert uk.sample_next(1.0, rng) == pytest.approx(1.0)
-
-    def test_single_draw_per_transition(self, uk):
-        class Counting:
-            calls = 0
-
-            def random(self):
-                Counting.calls += 1
-                return 0.5
-
-        uk.sample_next(0.3, Counting())
-        assert Counting.calls == 1
+        for u in (0.0, 0.5, 0.999):
+            assert uk.ppf(u, 1.0) == 1.0
 
     def test_empirical_cdf_matches_tail_mass(self, uk):
         n = 100_000
@@ -160,28 +132,6 @@ class TestSampling:
             freq = float((draws >= a).mean())
             se = np.sqrt(p * (1 - p) / n)
             assert abs(freq - p) <= 3 * se
-
-
-class TestDefaultsViaTriangularKernel:
-    def test_default_tail_mass_matches_closed_form(self):
-        tk = TriangularKernel()
-        for h in (0.0, 0.4):
-            for a in (0.5, 0.8):
-                exact = 1.0 - ((a - h) / (1.0 - h)) ** 2 if a >= h else 1.0
-                assert tk.tail_mass(a, h) == pytest.approx(exact, abs=1e-7)
-
-    def test_default_ppf_inverts_the_cdf(self):
-        tk = TriangularKernel()
-        for u in (0.1, 0.5, 0.95):
-            x = tk.ppf(u, 0.2)
-            assert 1.0 - tk.tail_mass(x, 0.2) == pytest.approx(u, abs=1e-7)
-
-    def test_default_sample_next_distribution(self):
-        tk = TriangularKernel()
-        rng = np.random.default_rng(5)
-        draws = np.array([tk.sample_next(0.0, rng) for _ in range(400)])
-        # mean of the triangular law on [0, 1] peaked at 1 is 2/3
-        assert abs(draws.mean() - 2.0 / 3.0) < 0.05
 
 
 class TestIfr:

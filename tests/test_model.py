@@ -7,61 +7,66 @@ from hypothesis import strategies as st
 
 from stopgrad.kernel import DomainError, UniformDeteriorationKernel
 from stopgrad.model import (
-    Action,
     ConstantReward,
-    ControlLimitPolicy,
     LinearReward,
     StoppingModel,
     TabulatedReward,
     check_assumptions,
 )
+from stopgrad.sim import ReplicationStreams, _paths_from_uniforms, sample_paths
 
 
 class TestStageReward:
     def test_transplant_value(self, wsc_model):
-        assert wsc_model.stage_reward(0.5, Action.TRANSPLANT) == pytest.approx(4.0)
+        assert wsc_model.transplant_reward(0.5) == pytest.approx(4.0)
 
     def test_wait_value(self, wsc_model):
-        assert wsc_model.stage_reward(0.3, Action.WAIT) == pytest.approx(0.5)
+        assert wsc_model.wait_reward(0.3) == pytest.approx(0.5)
 
     def test_death_region_zero(self, wsc_model):
-        assert wsc_model.stage_reward(wsc_model.H_D, Action.WAIT) == 0.0
-        assert wsc_model.stage_reward(wsc_model.H_D, Action.TRANSPLANT) == 0.0
+        assert wsc_model.wait_reward(wsc_model.H_D) == 0.0
+        assert wsc_model.transplant_reward(wsc_model.H_D) == 0.0
 
     def test_death_region_zero_with_interior_threshold(self):
         m = StoppingModel(UniformDeteriorationKernel(), ConstantReward(0.5), LinearReward(8.0, 0.0), H_D=0.6)
-        assert m.stage_reward(0.7, Action.WAIT) == 0.0
-        assert m.stage_reward(0.7, Action.TRANSPLANT) == 0.0
-        assert m.stage_reward(0.5, Action.TRANSPLANT) == pytest.approx(4.0)
+        assert m.wait_reward(0.7) == 0.0
+        assert m.transplant_reward(0.7) == 0.0
+        assert m.transplant_reward(0.5) == pytest.approx(4.0)
+        np.testing.assert_array_equal(m.wait_reward(np.array([0.5, 0.6, 0.7])), [0.5, 0.0, 0.0])
 
     def test_domain_error(self, wsc_model):
         with pytest.raises(DomainError):
-            wsc_model.stage_reward(1.5, Action.WAIT)
+            wsc_model.wait_reward(1.5)
+        with pytest.raises(DomainError):
+            wsc_model.transplant_reward(-0.1)
+
+
+def _transplants_now(model, theta, h) -> bool:
+    """Whether the threshold policy transplants at state h (a zero-horizon path from h)."""
+    return bool(_paths_from_uniforms(model, theta, h, 0, np.empty((1, 0))).stop_index[0] == 0)
 
 
 class TestPolicy:
-    def test_wait_below(self):
-        assert ControlLimitPolicy(0.5).action(0.49) is Action.WAIT
+    def test_wait_below(self, wsc_model):
+        assert not _transplants_now(wsc_model, 0.5, 0.49)
 
-    def test_tie_transplants(self):
-        assert ControlLimitPolicy(0.5).action(0.5) is Action.TRANSPLANT
+    def test_tie_transplants(self, wsc_model):
+        assert _transplants_now(wsc_model, 0.5, 0.5)
 
-    def test_zero_threshold_always_transplants(self):
-        pol = ControlLimitPolicy(0.0)
-        for h in (0.0, 0.3, 1.0):
-            assert pol.action(h) is Action.TRANSPLANT
+    def test_zero_threshold_always_transplants(self, wsc_model):
+        for h in (0.0, 0.3, 0.999):
+            assert _transplants_now(wsc_model, 0.0, h)
 
-    def test_theta_bounds(self):
-        with pytest.raises(ValueError):
-            ControlLimitPolicy(1.5)
+    def test_theta_bounds(self, wsc_model):
+        with pytest.raises(DomainError):
+            sample_paths(wsc_model, 1.5, 0.0, 10, 10, ReplicationStreams(1))
 
     @settings(max_examples=60, deadline=None)
-    @given(theta=st.floats(0.0, 1.0), h=st.floats(0.0, 1.0), h2=st.floats(0.0, 1.0))
-    def test_threshold_structure(self, theta, h, h2):
-        pol = ControlLimitPolicy(theta)
+    @given(theta=st.floats(0.0, 1.0), h=st.floats(0.0, 0.999), h2=st.floats(0.0, 0.999))
+    def test_threshold_structure(self, wsc_model, theta, h, h2):
         lo, hi = sorted((h, h2))
-        if pol.action(lo) is Action.TRANSPLANT:
-            assert pol.action(hi) is Action.TRANSPLANT
+        if _transplants_now(wsc_model, theta, lo):
+            assert _transplants_now(wsc_model, theta, hi)
 
 
 class TestModelValidation:

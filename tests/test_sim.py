@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import ReplayRng
+from conftest import replay
 from stopgrad.kernel import DomainError, UniformDeteriorationKernel
 from stopgrad.model import ConstantReward, LinearReward, StoppingModel
 from stopgrad.sim import (
@@ -11,7 +11,6 @@ from stopgrad.sim import (
     _paths_from_uniforms,
     estimate_value,
     sample_paths,
-    simulate_path,
 )
 
 LAM = 0.97
@@ -42,12 +41,6 @@ class TestReplicationStreams:
             ReplicationStreams(2).uniform_rows(0, 0, 4, 8),
         )
 
-    def test_scalar_streams_disjoint_from_blocks(self):
-        s = ReplicationStreams(123)
-        row = s.uniform_rows(0, 0, 1, 8)[0]
-        scalar = s.stream(0, purpose=0).random(8)
-        assert not np.array_equal(row, scalar)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             ReplicationStreams(-1)
@@ -55,57 +48,85 @@ class TestReplicationStreams:
             ReplicationStreams(1).uniform_rows(16, 0, 1, 1)
 
 
+def _death_model() -> StoppingModel:
+    return StoppingModel(UniformDeteriorationKernel(), ConstantReward(0.5), LinearReward(8.0, 0.0), H_D=0.6)
+
+
 class TestSimulatePath:
     def test_immediate_stop_at_or_above_threshold(self, wsc_model):
-        tr = simulate_path(wsc_model, 0.5, 0.7, 50, ReplayRng([]))
-        assert tr.stop_index == 0
-        assert tr.discounted_reward == pytest.approx(8.0 * 0.3)
-        assert not tr.died
+        # The tie h0 == theta transplants too; no draw is read.
+        for h0 in (0.5, 0.7):
+            b = _paths_from_uniforms(wsc_model, 0.5, h0, 50, np.full((1, 50), np.nan))
+            assert b.stop_index[0] == b.cross_index[0] == 0
+            assert b.value[0] == pytest.approx(8.0 * (1.0 - h0))
+            assert not b.died[0]
 
     def test_never_stopping_accrues_geometric_sum(self, wsc_model):
         # Controlled draws keep the state strictly below 1 in floating point
         # (h_k = 1 - 2^-k), so the path survives the whole horizon.
         n = 40
-        tr = simulate_path(wsc_model, 1.0, 0.0, n, ReplayRng([0.5] * n))
-        assert tr.stop_index is None and not tr.died
-        assert tr.discounted_reward == pytest.approx(0.5 * (1 - LAM ** (n + 1)) / (1 - LAM))
+        b = _paths_from_uniforms(wsc_model, 1.0, 0.0, n, np.full((1, n), 0.5))
+        assert b.stop_index[0] == b.cross_index[0] == -1 and not b.died[0]
+        assert b.value[0] == pytest.approx(0.5 * (1 - LAM ** (n + 1)) / (1 - LAM))
 
     def test_bit_reproducible(self, wsc_model):
-        s = ReplicationStreams(99)
-        t1 = simulate_path(wsc_model, 0.5, 0.0, 200, s.stream(3))
-        t2 = simulate_path(wsc_model, 0.5, 0.0, 200, s.stream(3))
-        np.testing.assert_array_equal(t1.states, t2.states)
-        assert t1.discounted_reward == t2.discounted_reward
+        a = sample_paths(wsc_model, 0.5, 0.0, 200, 100, ReplicationStreams(99))
+        b = sample_paths(wsc_model, 0.5, 0.0, 200, 100, ReplicationStreams(99))
+        np.testing.assert_array_equal(a.value, b.value)
+        np.testing.assert_array_equal(a.stop_index, b.stop_index)
 
     def test_h0_domain(self, wsc_model):
         with pytest.raises(DomainError):
-            simulate_path(wsc_model, 0.5, 1.0, 10, ReplayRng([]))
+            sample_paths(wsc_model, 0.5, 1.0, 10, 10, ReplicationStreams(1))
+        with pytest.raises(DomainError):
+            sample_paths(wsc_model, 1.5, 0.0, 10, 10, ReplicationStreams(1))
 
     def test_death_terminates_with_zero_rewards(self):
-        m = StoppingModel(UniformDeteriorationKernel(), ConstantReward(0.5), LinearReward(8.0, 0.0), H_D=0.6)
-        # u = 0.9 from h = 0 jumps to 0.9 >= H_D: death before any crossing of 0.95
-        tr = simulate_path(m, 0.95, 0.0, 10, ReplayRng([0.9]))
-        assert tr.died and tr.stop_index is None
-        assert tr.discounted_reward == pytest.approx(0.5)  # only the period-0 wait reward
+        # u = 0.9 from h = 0 jumps to 0.9 >= H_D: death before any crossing of 0.95,
+        # while the same jump crosses 0.8 into the death region.
+        U = np.full((1, 10), 0.9)
+        for theta, cross in ((0.95, -1), (0.8, 1)):
+            b = _paths_from_uniforms(_death_model(), theta, 0.0, 10, U)
+            assert b.died[0] and b.stop_index[0] == -1 and b.cross_index[0] == cross
+            assert b.value[0] == pytest.approx(0.5)  # only the period-0 wait reward
+            if cross == 1:
+                assert b.disc_at_stop[0] == LAM and b.h_prev[0] == 0.0
 
     def test_value_nondecreasing_in_horizon(self, wsc_model):
-        s = ReplicationStreams(31)
-        v_short = simulate_path(wsc_model, 0.9, 0.0, 3, s.stream(5)).discounted_reward
-        v_long = simulate_path(wsc_model, 0.9, 0.0, 40, s.stream(5)).discounted_reward
-        assert v_short <= v_long + 1e-15
+        U = ReplicationStreams(31).uniform_rows(0, 0, 200, 40)
+        v_short = _paths_from_uniforms(wsc_model, 0.9, 0.0, 3, U[:, :3]).value
+        v_long = _paths_from_uniforms(wsc_model, 0.9, 0.0, 40, U).value
+        assert np.all(v_short <= v_long + 1e-15)
 
     def test_stopped_paths_have_threshold_structure(self, wsc_model):
-        s = ReplicationStreams(37)
         theta = 0.6
-        for rep in range(50):
-            tr = simulate_path(wsc_model, theta, 0.0, 100, s.stream(rep))
-            assert tr.stop_index is not None
-            assert np.all(tr.states[: tr.stop_index] < theta)
-            assert tr.states[tr.stop_index] >= theta
-            expected = sum(
-                wsc_model.discount**k * 0.5 for k in range(tr.stop_index)
-            ) + wsc_model.discount ** tr.stop_index * 8.0 * (1.0 - tr.states[tr.stop_index])
-            assert tr.discounted_reward == pytest.approx(expected, rel=1e-12)
+        U = ReplicationStreams(37).uniform_rows(0, 0, 50, 100)
+        b = _paths_from_uniforms(wsc_model, theta, 0.0, 100, U)
+        for i in range(50):
+            # States from the kernel's inverse CDF h' = h + (1 - h) u.
+            h = [0.0]
+            for u in U[i]:
+                h.append(h[-1] + (1.0 - h[-1]) * u)
+            M = int(np.argmax(np.asarray(h) >= theta))
+            assert b.stop_index[i] == b.cross_index[i] == M
+            expected = sum(LAM**k * 0.5 for k in range(M)) + LAM**M * 8.0 * (1.0 - h[M])
+            assert b.value[i] == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("theta,H_D", [(0.8, 1.0), (0.4, 0.6)])
+    def test_result_ignores_draws_after_stop(self, theta, H_D):
+        # Row i reads U[i, k] only for the transitions it takes: draws at and
+        # after its last period (its crossing, dead or alive, or the horizon)
+        # are never read.
+        m = StoppingModel(UniformDeteriorationKernel(), ConstantReward(0.5), LinearReward(8.0, 0.0), H_D=H_D)
+        U = ReplicationStreams(38).uniform_rows(0, 0, 500, 30)
+        a = _paths_from_uniforms(m, theta, 0.0, 30, U)
+        ends = np.where(a.cross_index >= 0, a.cross_index, 30)
+        V = U.copy()
+        V[np.arange(30)[None, :] >= ends[:, None]] = np.nan
+        b = _paths_from_uniforms(m, theta, 0.0, 30, V)
+        for f in ("value", "stop_index", "cross_index", "died", "disc_at_stop"):
+            np.testing.assert_array_equal(getattr(a, f), getattr(b, f))
+        assert a.died.any() == (H_D < 1.0)
 
 
 class TestBatchScalarEquivalence:
@@ -114,39 +135,40 @@ class TestBatchScalarEquivalence:
         U = ReplicationStreams(11).uniform_rows(0, 0, 300, horizon)
         batch = _paths_from_uniforms(wsc_model, theta, h0, horizon, U)
         for i in range(300):
-            tr = simulate_path(wsc_model, theta, h0, horizon, ReplayRng(U[i]))
-            assert batch.value[i] == tr.discounted_reward
-            assert (batch.stop_index[i] if batch.stop_index[i] >= 0 else None) == tr.stop_index
-            assert bool(batch.died[i]) == tr.died
+            _, v, stop, died = replay(wsc_model, theta, h0, horizon, U[i])
+            assert batch.value[i] == v
+            assert (batch.stop_index[i] if batch.stop_index[i] >= 0 else None) == stop
+            assert bool(batch.died[i]) == died
 
     def test_batch_equals_scalar_replay_with_death(self):
-        m = StoppingModel(UniformDeteriorationKernel(), ConstantReward(0.5), LinearReward(8.0, 0.0), H_D=0.6)
+        m = _death_model()
         U = ReplicationStreams(12).uniform_rows(0, 0, 200, 30)
         batch = _paths_from_uniforms(m, 0.4, 0.0, 30, U)
         died = 0
         for i in range(200):
-            tr = simulate_path(m, 0.4, 0.0, 30, ReplayRng(U[i]))
-            assert batch.value[i] == tr.discounted_reward
-            assert bool(batch.died[i]) == tr.died
-            died += tr.died
+            states, v, _, dead = replay(m, 0.4, 0.0, 30, U[i])
+            assert batch.value[i] == v
+            assert bool(batch.died[i]) == dead
+            if dead:  # every death here first reaches a state >= theta
+                assert batch.cross_index[i] == len(states) - 1
+            died += dead
         assert died > 0  # scenario actually exercises the death branch
 
 
 class TestMonotoneCoupling:
     def test_common_draws_preserve_path_prefix(self, wsc_model):
         # Under shared uniforms, raising the threshold never changes the path
-        # before the lower threshold's stopping period.
+        # before the lower threshold's stopping period M: cut at period M, the
+        # higher threshold's path leaves the same state at M - 1.
         U = ReplicationStreams(13).uniform_rows(0, 0, 500, 60)
         lo = _paths_from_uniforms(wsc_model, 0.5, 0.0, 60, U)
         hi = _paths_from_uniforms(wsc_model, 0.7, 0.0, 60, U)
-        for i in range(500):
-            m_lo = lo.stop_index[i]
-            assert m_lo >= 0
-            assert hi.stop_index[i] >= m_lo
-            tr_lo = simulate_path(wsc_model, 0.5, 0.0, 60, ReplayRng(U[i]))
-            tr_hi = simulate_path(wsc_model, 0.7, 0.0, 60, ReplayRng(U[i]))
-            k = len(tr_lo.states)
-            np.testing.assert_array_equal(tr_hi.states[:k], tr_lo.states[:k])
+        assert np.all(lo.stop_index >= 0)
+        assert np.all(hi.stop_index >= lo.stop_index)
+        for M in np.unique(lo.stop_index[lo.stop_index > 0]):
+            rows = lo.stop_index == M
+            cut = _paths_from_uniforms(wsc_model, 0.7, 0.0, int(M), U[rows])
+            np.testing.assert_array_equal(cut.h_prev, lo.h_prev[rows])
 
 
 class TestEstimateValue:
