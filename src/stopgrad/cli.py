@@ -260,6 +260,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# Command-line flags that override the config field of the same name, by section.
+_FLAG_SECTIONS = {
+    "seed": "run", "workers": "run", "reps": "run", "horizon": "run",
+    "method": "estimator", "delta": "estimator", "crn": "estimator", "aux_reps": "estimator",
+}
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -268,22 +275,10 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
-    if getattr(args, "seed", None) is not None:
-        cfg.run.seed = args.seed
-    if getattr(args, "workers", None) is not None:
-        cfg.run.workers = args.workers
-    if getattr(args, "reps", None) is not None:
-        cfg.run.reps = args.reps
-    if getattr(args, "horizon", None) is not None:
-        cfg.run.horizon = args.horizon
-    if getattr(args, "method", None) is not None:
-        cfg.estimator.method = args.method
-    if getattr(args, "delta", None) is not None:
-        cfg.estimator.delta = args.delta
-    if getattr(args, "crn", None) is not None:
-        cfg.estimator.crn = args.crn
-    if getattr(args, "aux_reps", None) is not None:
-        cfg.estimator.aux_reps = args.aux_reps
+    for flag, section in _FLAG_SECTIONS.items():
+        value = getattr(args, flag, None)
+        if value is not None:
+            setattr(getattr(cfg, section), flag, value)
 
     errors = validate_config(cfg)
     if errors:

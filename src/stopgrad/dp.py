@@ -155,6 +155,7 @@ class GridValueFunction:
     converged: bool = False
     tol: float = 0.0
     residual_history: tuple[float, ...] = field(default_factory=tuple, repr=False)
+    dynamics: GridDynamics | None = field(default=None, repr=False, compare=False)
 
     def value_at(self, h):
         out = np.interp(np.asarray(h, dtype=float), self.nodes, self.values)
@@ -218,13 +219,16 @@ def value_iterate(
             converged = True
             break
     residual = history[-1] if history else float("inf")
-    return GridValueFunction(grid, V, it if max_iter > 0 else 0, residual, converged, tol, tuple(history))
+    return GridValueFunction(grid, V, it if max_iter > 0 else 0, residual, converged, tol, tuple(history), dyn)
 
 
 def extract_control_limit(model: StoppingModel, V: GridValueFunction, tol: float = 1e-8) -> ControlLimitResult:
     """Smallest grid node where transplanting is optimal under V, with a check
-    that the transplant-optimal node set is an up-set of the grid."""
-    dyn = GridDynamics(model, V.nodes)
+    that the transplant-optimal node set is an up-set of the grid.  V must come
+    from `value_iterate` on the same model, whose dynamics it reuses."""
+    dyn = V.dynamics
+    if dyn is None or dyn.model != model:
+        raise ValueError("V was not solved by value_iterate for this model")
     c, r = _raw_rewards(model, V.nodes)
     cont = dyn.continuation(V.values)
     opt_t = (r >= c + model.discount * cont - tol) & dyn.alive
@@ -258,15 +262,11 @@ def _policy_fixed_point(
     alive = dyn.alive
     left_wait = alive & (x <= theta)
     right_wait = alive & (x < theta)
-    base_l = np.where(alive, r, 0.0)
-    base_r = np.where(alive, r, 0.0)
-    vl = base_l.copy()
-    vr = base_r.copy()
+    base = np.where(alive, r, 0.0)
+    vl = base.copy()
     if warm is not None:
         vl[left_wait] = warm[left_wait]
-    else:
-        vl[left_wait] = np.where(left_wait, r, 0.0)[left_wait]
-    vr[right_wait] = vl[right_wait]
+    vr = np.where(right_wait, vl, base)
     converged = False
     it = 0
     residual = float("inf")
@@ -274,8 +274,8 @@ def _policy_fixed_point(
         cont = dyn.continuation(vr, vl)
         new_wait = c + lam * cont
         residual = float(np.abs(new_wait[left_wait] - vl[left_wait]).max()) if left_wait.any() else 0.0
-        vl = np.where(left_wait, new_wait, base_l)
-        vr = np.where(right_wait, new_wait, base_r)
+        vl = np.where(left_wait, new_wait, base)
+        vr = np.where(right_wait, new_wait, base)
         if residual < tol:
             converged = True
             break

@@ -26,7 +26,7 @@ import numpy as np
 
 from .kernel import DomainError
 from .model import StoppingModel
-from .sim import ReplicationStreams, _paths_from_uniforms, block_ranges, map_blocks
+from .sim import ReplicationStreams, _check_sim_args, _paths_from_uniforms, block_ranges, map_blocks
 
 __all__ = [
     "DegenerateHazardError",
@@ -65,15 +65,6 @@ class GradEstimate:
         return cls(method, float(theta), values, mean, se, reps, horizon, **meta)
 
 
-def _check_grad_args(model: StoppingModel, theta: float, h0: float, horizon: int, reps: int) -> None:
-    if not (0.0 <= h0 < model.H):
-        raise DomainError("h0 must lie in [0, H)")
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
-    if reps < 2:
-        raise ValueError("gradient estimation needs reps >= 2")
-
-
 def _hazard(model: StoppingModel, theta: float, h_prev: np.ndarray) -> np.ndarray:
     dens = np.asarray(model.kernel.density(theta, h_prev), dtype=float)
     tail = np.asarray(model.kernel.tail_mass(theta, h_prev), dtype=float)
@@ -83,46 +74,6 @@ def _hazard(model: StoppingModel, theta: float, h_prev: np.ndarray) -> np.ndarra
             "this cannot happen on a path whose stopping event fired"
         )
     return dens / tail
-
-
-def _spa_tail(
-    model: StoppingModel,
-    theta: float,
-    horizon: int,
-    aux_reps: int,
-    cross_index: np.ndarray,
-    disc_at_stop: np.ndarray,
-    U_aux: np.ndarray,
-) -> np.ndarray:
-    """Mean discounted reward of `aux_reps` policy paths restarted from theta.
-
-    Row i's continuation j waits at theta in period cross_index[i], then draws
-    its k-th transition from U_aux[i, j * horizon + k] until it stops, dies or
-    reaches the horizon.
-    """
-    lam = model.discount
-    n = cross_index.size
-    tail = np.zeros(n)
-    for j in range(aux_reps):
-        state = np.full(n, float(theta))
-        disc = disc_at_stop.copy()
-        act = np.nonzero(cross_index + 1 <= horizon)[0]
-        t = 0
-        while act.size:
-            t += 1
-            state[act] = model.kernel.ppf(U_aux[act, j * horizon + (t - 1)], state[act])
-            disc[act] *= lam
-            s = state[act]
-            live = act[s < model.H_D]
-            crossed = state[live] >= theta
-            ic = live[crossed]
-            if ic.size:
-                tail[ic] += disc[ic] * model.transplant_reward(state[ic])
-            stay = live[~crossed]
-            if stay.size:
-                tail[stay] += disc[stay] * model.wait_reward(state[stay])
-            act = stay[cross_index[stay] + t + 1 <= horizon]
-    return tail / aux_reps
 
 
 def _spa_block(
@@ -140,14 +91,25 @@ def _spa_block(
     out = np.zeros(hi - lo)
     # The hazard conditions on h_M >= theta, dead or alive, so every row that
     # crossed at M >= 1 contributes, also one whose crossing state is dead.
-    idx = np.nonzero(batch.cross_index >= 1)[0]
-    if idx.size == 0:
+    crossed = batch.cross_index >= 1
+    if not crossed.any():
         return out
-    hz = _hazard(model, theta, batch.h_prev[idx])
     U_aux = streams.uniform_rows(ReplicationStreams.AUX, lo, hi, aux_reps * horizon)
-    tail = _spa_tail(model, theta, horizon, aux_reps,
-                     batch.cross_index[idx], batch.disc_at_stop[idx], U_aux[idx])
-    bracket = batch.disc_at_stop[idx] * (model.wait_reward(theta) - model.transplant_reward(theta)) + tail
+    # Continuation j waits at theta in period M, leaves it with draw
+    # U_aux[:, j * horizon] and follows the policy on the next horizon - 1
+    # columns.  Every row of the block is passed, the others with no period to
+    # run, so that the draw columns go in as views rather than copies.
+    remaining = np.where(crossed, horizon - batch.cross_index - 1, -1)
+    disc1 = batch.disc_at_stop * model.discount
+    tail = np.zeros(hi - lo)
+    for j in range(aux_reps):
+        col = j * horizon
+        h1 = model.kernel.ppf(U_aux[:, col], theta)
+        tail = _paths_from_uniforms(model, theta, h1, remaining, U_aux[:, col + 1 : col + horizon], disc1, tail).value
+    tail /= aux_reps
+    idx = np.flatnonzero(crossed)
+    hz = _hazard(model, theta, batch.h_prev[idx])
+    bracket = batch.disc_at_stop[idx] * (model.wait_reward(theta) - model.transplant_reward(theta)) + tail[idx]
     out[idx] = hz * bracket
     return out
 
@@ -167,7 +129,9 @@ def spa_estimate(
         raise DomainError("theta must lie strictly inside (0, H)")
     if aux_reps < 1:
         raise ValueError("aux_reps must be >= 1")
-    _check_grad_args(model, theta, h0, horizon, reps)
+    _check_sim_args(model, theta, h0, horizon)
+    if reps < 2:
+        raise ValueError("gradient estimation needs reps >= 2")
     fn = partial(_spa_block, model, theta, h0, horizon, aux_reps, streams)
     values = np.concatenate(map_blocks(fn, block_ranges(reps, streams.block_rows), workers))
     return GradEstimate.from_values("spa", theta, values, horizon, aux_reps=aux_reps)
@@ -213,7 +177,9 @@ def fd_estimate(
         raise ValueError("delta must be positive")
     if theta - delta / 2.0 < 0.0 or theta + delta / 2.0 > model.H:
         raise DomainError("theta +/- delta/2 must stay inside [0, H]")
-    _check_grad_args(model, theta, h0, horizon, reps)
+    _check_sim_args(model, theta, h0, horizon)
+    if reps < 2:
+        raise ValueError("gradient estimation needs reps >= 2")
     fn = partial(_fd_block, model, theta, h0, horizon, delta, crn, streams)
     values = np.concatenate(map_blocks(fn, block_ranges(reps, streams.block_rows), workers))
     return GradEstimate.from_values("fd", theta, values, horizon, delta=delta, crn=crn)

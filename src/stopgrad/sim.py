@@ -92,17 +92,16 @@ class ReplicationStreams:
 class PathBatch:
     """Vectorized per-replication path summaries.
 
-    `stop_index` is the transplant period (-1 when none).  `cross_index` is the
-    first period whose state is >= theta, also when that state is dead (-1 when
-    none); `disc_at_stop` is the discount at that period and `h_prev` the state
-    just before it.
+    Periods count from each row's own start.  `stop_index` is the transplant
+    period (-1 when none).  `cross_index` is the first period whose state is
+    >= theta, also when that state is dead (-1 when none); `disc_at_stop` is
+    the discount at that period and `h_prev` the state just before it.
     """
 
     value: np.ndarray
     stop_index: np.ndarray
     cross_index: np.ndarray
     died: np.ndarray
-    h_stop: np.ndarray
     h_prev: np.ndarray
     disc_at_stop: np.ndarray
 
@@ -116,57 +115,59 @@ def _check_sim_args(model: StoppingModel, theta: float, h0: float, horizon: int)
         raise ValueError("horizon must be nonnegative")
 
 
-def _paths_from_uniforms(model: StoppingModel, theta: float, h0: float, horizon: int, U: np.ndarray) -> PathBatch:
-    """Simulate one path per row of U under the threshold policy through period `horizon`.
+def _paths_from_uniforms(model: StoppingModel, theta: float, h0, horizon, U: np.ndarray,
+                         disc0=1.0, value0=0.0) -> PathBatch:
+    """Simulate one path per row of U under the threshold policy.
 
+    Row i starts in state h0[i] with discount disc0[i] and value value0[i], and
+    runs through its period horizon[i]; a scalar argument is shared by every
+    row, and a row with a negative horizon takes no period and keeps value0[i].
     Periods accrue the waiting reward until the state reaches theta (transplant,
     terminal reward, path ends; the tie h == theta transplants, which the
     crossing-event estimator relies on) or enters the death region (path ends,
-    zero rewards).  Row i consumes U[i, k] for its k-th transition.
+    zero rewards).  Row i consumes U[i, k] for its k-th transition, which
+    multiplies its discount by the model's discount factor.
     """
     rows = U.shape[0]
-    lam = model.discount
-    h = np.full(rows, float(h0))
+    h = np.full(rows, h0, dtype=float)
+    last = np.broadcast_to(horizon, (rows,))
+    disc = np.full(rows, disc0, dtype=float)
+    value = np.full(rows, value0, dtype=float)
     h_prev = np.full(rows, np.nan)
-    h_stop = np.full(rows, np.nan)
-    value = np.zeros(rows)
     stop_index = np.full(rows, -1, dtype=np.int64)
     dead_cross_index = np.full(rows, -1, dtype=np.int64)
     disc_at_stop = np.zeros(rows)
     died = np.zeros(rows, dtype=bool)
-    active = np.arange(rows)
-    disc = 1.0
-    for k in range(horizon + 1):
-        if active.size == 0:
-            break
+    active = np.flatnonzero(last >= 0)
+    k = 0
+    while active.size:
         hk = h[active]
         dead = hk >= model.H_D
         if dead.any():
             died[active[dead]] = True
             dead_cross = active[dead & (hk >= theta)]
             dead_cross_index[dead_cross] = k
-            disc_at_stop[dead_cross] = disc
-        live = active[~dead]
+            disc_at_stop[dead_cross] = disc[dead_cross]
+        # np.compress selects by mask several times faster than boolean indexing.
+        live = np.compress(~dead, active)
         cross = h[live] >= theta
-        ic = live[cross]
+        ic = np.compress(cross, live)
         if ic.size:
-            value[ic] += disc * model.transplant_reward(h[ic])
+            value[ic] += disc[ic] * model.transplant_reward(h[ic])
             stop_index[ic] = k
-            disc_at_stop[ic] = disc
-            h_stop[ic] = h[ic]
-        stay = live[~cross]
+            disc_at_stop[ic] = disc[ic]
+        stay = np.compress(~cross, live)
         if stay.size:
-            value[stay] += disc * model.wait_reward(h[stay])
-        if k < horizon and stay.size:
-            h_prev[stay] = h[stay]
-            h[stay] = model.kernel.ppf(U[stay, k], h[stay])
-            active = stay
-        else:
-            active = np.empty(0, dtype=np.int64)
-        disc *= lam
+            value[stay] += disc[stay] * model.wait_reward(h[stay])
+        active = np.compress(last[stay] > k, stay)
+        if active.size:
+            h_prev[active] = h[active]
+            h[active] = model.kernel.ppf(U[active, k], h[active])
+            disc[active] *= model.discount
+        k += 1
     # A row either transplants or dies at its crossing, so the two indices merge.
     cross_index = np.maximum(dead_cross_index, stop_index)
-    return PathBatch(value, stop_index, cross_index, died, h_stop, h_prev, disc_at_stop)
+    return PathBatch(value, stop_index, cross_index, died, h_prev, disc_at_stop)
 
 
 def block_ranges(reps: int, block_rows: int) -> list[tuple[int, int]]:

@@ -184,6 +184,15 @@ class TestExtractControlLimit:
         assert res.theta == pytest.approx(0.0)
         assert res.structure_ok
 
+    def test_rejects_a_value_function_of_another_model(self, wsc_vi):
+        # The value function carries its model's dynamics; pairing it with other
+        # rewards, or giving it no dynamics, raises instead of mixing the two.
+        m = StoppingModel(UniformDeteriorationKernel(), ConstantReward(0.5), ConstantReward(300.0))
+        with pytest.raises(ValueError):
+            extract_control_limit(m, wsc_vi)
+        with pytest.raises(ValueError):
+            extract_control_limit(m, GridValueFunction(wsc_vi.nodes, wsc_vi.values))
+
 
 class TestPolicyValue:
     def test_zero_threshold_is_immediate_transplant(self, wsc_model):

@@ -100,7 +100,7 @@ class TestSpaSingleRep:
 
 
 class TestSpaBatch:
-    @pytest.mark.parametrize("theta,aux_reps,horizon", [(0.5, 1, 40), (0.8, 3, 25), (0.2, 2, 30)])
+    @pytest.mark.parametrize("theta,aux_reps,horizon", [(0.5, 1, 40), (0.8, 3, 25), (0.2, 2, 30), (0.8, 2, 3)])
     def test_batch_matches_scalar_reference(self, wsc_model, theta, aux_reps, horizon):
         streams = ReplicationStreams(314)
         n = 400
