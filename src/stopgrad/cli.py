@@ -87,9 +87,9 @@ def _gradient_once(
     if method == "spa":
         return spa_estimate(model, theta, h0, horizon, reps, aux_reps, streams, workers)
     if method == "fd":
-        return fd_estimate(model, theta, h0, horizon, reps, delta, crn, streams, workers)
+        return fd_estimate(model, theta, h0, horizon, reps, delta, crn, streams=streams, workers=workers)
     if method == "ipa":
-        return ipa_estimate(model, theta, h0, horizon, reps, streams, workers)
+        return ipa_estimate(model, theta, h0, horizon, reps)
     raise ConfigError([f"unknown method {method!r}"])
 
 
@@ -286,13 +286,13 @@ def main(argv=None) -> int:
             print(f"config error: {msg}", file=sys.stderr)
         return EXIT_VALIDATION
 
-    model = build_model(cfg)
-    workers = cfg.run.workers if cfg.run.workers > 0 else (os.cpu_count() or 1)
-    streams = ReplicationStreams(cfg.run.seed)
-    out = Path(getattr(args, "out", "."))
-    out.mkdir(parents=True, exist_ok=True)
-
+    # ConfigError and the library's DomainError are both ValueErrors: bad input.
     try:
+        model = build_model(cfg)
+        workers = cfg.run.workers if cfg.run.workers > 0 else (os.cpu_count() or 1)
+        streams = ReplicationStreams(cfg.run.seed)
+        out = Path(getattr(args, "out", "."))
+        out.mkdir(parents=True, exist_ok=True)
         if args.command == "check":
             return run_check(cfg, model, out, args.grid_points)
         if args.command == "solve":
@@ -312,8 +312,8 @@ def main(argv=None) -> int:
             return EXIT_PARTIAL if failures else EXIT_OK
         if args.command == "optimize":
             return run_optimize(cfg, model, out, streams, workers)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except ValueError as exc:
+        print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except dp.ConvergenceError as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)

@@ -188,7 +188,6 @@ def value_iterate(
     tol: float = 1e-10,
     max_iter: int = 100_000,
     num_nodes: int = DEFAULT_NODES,
-    nodes: np.ndarray | None = None,
 ) -> GridValueFunction:
     """Iterate backups from V0 = 0 until the sup-norm change drops below tol.
 
@@ -199,7 +198,7 @@ def value_iterate(
         raise ValueError("tol must be positive")
     if model.discount >= 1.0:
         raise ValueError("infinite-horizon value iteration requires discount < 1")
-    grid = make_grid(model, num_nodes) if nodes is None else np.asarray(nodes, dtype=float)
+    grid = make_grid(model, num_nodes)
     dyn = GridDynamics(model, grid)
     c, r = _raw_rewards(model, grid)
     lam = model.discount
@@ -282,26 +281,11 @@ def _policy_fixed_point(
     return vl, it, residual, converged
 
 
-def _policy_value_from(
-    dyn: GridDynamics, model: StoppingModel, theta: float, h0: float, tol: float, max_iter: int,
-    warm: np.ndarray | None = None,
-) -> tuple[PolicyValue, np.ndarray]:
-    vl, it, residual, converged = _policy_fixed_point(dyn, model, theta, tol, max_iter, warm)
-    if model.is_dead(h0):
-        val = 0.0
-    elif h0 >= theta:
-        val = float(model.transplant_reward(h0))
-    else:
-        val = float(np.interp(h0, dyn.nodes, vl))
-    return PolicyValue(val, converged, it, residual), vl
-
-
 def policy_value(
     model: StoppingModel,
     theta: float,
     h0: float,
     num_nodes: int = DEFAULT_NODES,
-    nodes: np.ndarray | None = None,
     tol: float = 1e-10,
     max_iter: int = 50_000,
 ) -> PolicyValue:
@@ -310,14 +294,7 @@ def policy_value(
     The threshold is inserted as a grid node so the wait/transplant boundary is
     honored exactly.
     """
-    if not (0.0 <= theta <= model.H) or not (0.0 <= h0 <= model.H):
-        raise DomainError("theta and h0 must lie in [0, H]")
-    if model.discount >= 1.0:
-        raise ValueError("infinite-horizon policy evaluation requires discount < 1")
-    grid = make_grid(model, num_nodes, extra=(theta,)) if nodes is None else np.asarray(nodes, dtype=float)
-    dyn = GridDynamics(model, grid)
-    result, _ = _policy_value_from(dyn, model, theta, h0, tol, max_iter)
-    return result
+    return policy_value_sweep(model, (theta,), h0, num_nodes, tol, max_iter)[0]
 
 
 def policy_value_sweep(
@@ -330,13 +307,22 @@ def policy_value_sweep(
 ) -> list[PolicyValue]:
     """Policy values over a list of thresholds on one shared grid (warm-started)."""
     ths = [float(t) for t in thetas]
-    grid = make_grid(model, num_nodes, extra=ths)
-    dyn = GridDynamics(model, grid)
+    if not all(0.0 <= t <= model.H for t in ths) or not (0.0 <= h0 <= model.H):
+        raise DomainError("theta and h0 must lie in [0, H]")
+    if model.discount >= 1.0:
+        raise ValueError("infinite-horizon policy evaluation requires discount < 1")
+    dyn = GridDynamics(model, make_grid(model, num_nodes, extra=ths))
     out: list[PolicyValue] = []
     warm: np.ndarray | None = None
     for t in ths:
-        res, warm = _policy_value_from(dyn, model, t, h0, tol, max_iter, warm)
-        out.append(res)
+        warm, it, residual, converged = _policy_fixed_point(dyn, model, t, tol, max_iter, warm)
+        if model.is_dead(h0):
+            val = 0.0
+        elif h0 >= t:
+            val = float(model.transplant_reward(h0))
+        else:
+            val = float(np.interp(h0, dyn.nodes, warm))
+        out.append(PolicyValue(val, converged, it, residual))
     return out
 
 
@@ -360,10 +346,7 @@ def oracle_derivative(
     lo, hi = theta - dtheta / 2.0, theta + dtheta / 2.0
     if not (0.0 < lo and hi < model.H):
         raise DomainError("theta +/- dtheta/2 must lie inside (0, H)")
-    grid = make_grid(model, num_nodes, extra=(lo, hi))
-    dyn = GridDynamics(model, grid)
-    res_hi, warm = _policy_value_from(dyn, model, hi, h0, tol, max_iter)
-    res_lo, _ = _policy_value_from(dyn, model, lo, h0, tol, max_iter, warm)
+    res_hi, res_lo = policy_value_sweep(model, (hi, lo), h0, num_nodes, tol, max_iter)
     if not (res_hi.converged and res_lo.converged):
         raise ConvergenceError("policy evaluation did not converge while forming the oracle derivative")
     return (res_hi.value - res_lo.value) / dtheta

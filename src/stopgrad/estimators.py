@@ -163,7 +163,8 @@ def fd_estimate(
     reps: int,
     delta: float,
     crn: bool = True,
-    streams: ReplicationStreams | None = None,
+    *,
+    streams: ReplicationStreams,
     workers: int = 1,
 ) -> GradEstimate:
     """Symmetric finite difference (v(theta + delta/2) - v(theta - delta/2)) / delta.
@@ -171,8 +172,6 @@ def fd_estimate(
     With `crn` both evaluation points replay the same uniform substream, which
     couples the paths until they first disagree about stopping.
     """
-    if streams is None:
-        raise ValueError("fd_estimate requires a ReplicationStreams instance")
     if delta <= 0.0:
         raise ValueError("delta must be positive")
     if theta - delta / 2.0 < 0.0 or theta + delta / 2.0 > model.H:
@@ -191,8 +190,6 @@ def ipa_estimate(
     h0: float,
     horizon: int,
     reps: int,
-    streams: ReplicationStreams | None = None,
-    workers: int = 1,
 ) -> GradEstimate:
     """Pathwise derivative estimate: identically zero for this stopping problem.
 

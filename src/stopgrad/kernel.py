@@ -56,11 +56,6 @@ class TransitionKernel(abc.ABC):
 
     H: float = 1.0
 
-    #: Declared global bound on the density, or None when no finite bound exists
-    #: on the full square [0, H]^2 (the structural audit then reports the bound
-    #: observed on its grid).
-    density_bound: float | None = None
-
     @abc.abstractmethod
     def density(self, h_next, h_cur):
         """Density f(h_next | h_cur) of the next health state."""
@@ -142,7 +137,6 @@ def integrate_density(
     h_cur: float,
     a: float = 0.0,
     b: float | None = None,
-    panels: int = DEFAULT_PANELS,
 ) -> float:
     """Quadrature of the density part of kernel(. | h_cur) over [a, b].
 
@@ -163,7 +157,7 @@ def integrate_density(
         if width <= 0.0:
             continue
         pad = _EDGE_NUDGE * width
-        total += _simpson(lambda x: kernel.density(x, h_cur), p + pad, q - pad, panels)
+        total += _simpson(lambda x: kernel.density(x, h_cur), p + pad, q - pad, DEFAULT_PANELS)
     return total
 
 

@@ -64,28 +64,18 @@ class ReplicationStreams:
     def uniform_rows(self, purpose: int, rep_lo: int, rep_hi: int, ncols: int) -> np.ndarray:
         """Uniform draw matrix for replications [rep_lo, rep_hi); row i serves rep_lo + i.
 
-        Within a block, row r is draws [r*ncols, (r+1)*ncols) of the block
-        generator, recovered for partial requests by advancing the generator, so
-        any sub-range reproduces exactly the rows of the full block.
+        The range must be one of `block_ranges`: it starts a block and stays
+        inside it.  Row r of a block is draws [r*ncols, (r+1)*ncols) of the
+        block generator, so a short final block reproduces the first rows of a
+        full one.
         """
         if not (0 <= purpose < 16):
             raise ValueError("purpose must lie in [0, 16)")
         if rep_lo < 0 or rep_hi < rep_lo or ncols < 0:
             raise ValueError("invalid replication range")
-        rows = rep_hi - rep_lo
-        out = np.empty((rows, ncols))
-        if rows == 0 or ncols == 0:
-            return out
-        first, last = rep_lo // self.block_rows, (rep_hi - 1) // self.block_rows
-        for b in range(first, last + 1):
-            lo = max(rep_lo, b * self.block_rows)
-            hi = min(rep_hi, (b + 1) * self.block_rows)
-            gen = self._block_generator(purpose, b)
-            offset = lo - b * self.block_rows
-            if offset:
-                gen.bit_generator.advance(offset * ncols)
-            out[lo - rep_lo : hi - rep_lo] = gen.random((hi - lo, ncols))
-        return out
+        if rep_lo % self.block_rows or rep_hi - rep_lo > self.block_rows:
+            raise ValueError("the replication range must be one of block_ranges(reps, block_rows)")
+        return self._block_generator(purpose, rep_lo // self.block_rows).random((rep_hi - rep_lo, ncols))
 
 
 @dataclass

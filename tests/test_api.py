@@ -33,10 +33,28 @@ MODULES = {
 # Public attributes of the classes that lost test-only methods.
 CLASSES = {
     "ReplicationStreams": {"ALT", "AUX", "PATH", "block_rows", "child", "domain", "uniform_rows"},
-    "TransitionKernel": {"H", "density", "density_bound", "density_discontinuities", "point_masses", "ppf",
-                         "tail_mass"},
+    "TransitionKernel": {"H", "density", "density_discontinuities", "point_masses", "ppf", "tail_mass"},
     "StoppingModel": {"H", "H_D", "discount", "is_dead", "transplant_reward", "transplant_sup", "truncation_bound",
                       "value_bound", "wait_reward", "wait_sup"},
+}
+
+# Parameter names of the public functions, so that a deleted knob cannot come back unnoticed.
+SIGNATURES = {
+    "stopgrad.sim.block_ranges": ("reps", "block_rows"),
+    "stopgrad.sim.estimate_value": ("model", "theta", "h0", "horizon", "reps", "streams", "workers"),
+    "stopgrad.sim.map_blocks": ("fn", "ranges", "workers"),
+    "stopgrad.sim.sample_paths": ("model", "theta", "h0", "horizon", "reps", "streams", "workers"),
+    "stopgrad.estimators.fd_estimate": ("model", "theta", "h0", "horizon", "reps", "delta", "crn", "streams",
+                                        "workers"),
+    "stopgrad.estimators.ipa_estimate": ("model", "theta", "h0", "horizon", "reps"),
+    "stopgrad.estimators.spa_estimate": ("model", "theta", "h0", "horizon", "reps", "aux_reps", "streams",
+                                         "workers"),
+    "stopgrad.dp.extract_control_limit": ("model", "V", "tol"),
+    "stopgrad.dp.make_grid": ("model", "num_nodes", "extra"),
+    "stopgrad.dp.oracle_derivative": ("model", "theta", "h0", "dtheta", "num_nodes", "tol", "max_iter"),
+    "stopgrad.dp.policy_value": ("model", "theta", "h0", "num_nodes", "tol", "max_iter"),
+    "stopgrad.dp.policy_value_sweep": ("model", "thetas", "h0", "num_nodes", "tol", "max_iter"),
+    "stopgrad.dp.value_iterate": ("model", "tol", "max_iter", "num_nodes"),
 }
 
 
@@ -63,3 +81,10 @@ def test_module_surface_is_pinned(module):
 @pytest.mark.parametrize("cls", sorted(CLASSES))
 def test_class_surface_is_pinned(cls):
     assert {n for n in vars(getattr(stopgrad, cls)) if not n.startswith("_")} == CLASSES[cls]
+
+
+def test_function_signatures_are_pinned():
+    funcs = {f"{m}.{n}": v for m in ("stopgrad.sim", "stopgrad.estimators", "stopgrad.dp")
+             for n, v in vars(importlib.import_module(m)).items()
+             if not n.startswith("_") and inspect.isfunction(v) and v.__module__ == m}
+    assert {name: tuple(inspect.signature(fn).parameters) for name, fn in funcs.items()} == SIGNATURES

@@ -245,6 +245,18 @@ class TestCliSubcommands:
         rows = read_csv(tmp_path / "optimize_trace.csv")
         assert all(r["theta"] == "0.9" for r in rows)
 
+    @pytest.mark.parametrize("ini_edit,args", [
+        (("reward_wait = constant 0.5", "reward_wait = constant -1"), ["simulate"]),
+        (None, ["simulate", "--theta", "5"]),
+        (None, ["gradient", "--method", "spa", "--theta", "0"]),
+        (None, ["gradient", "--method", "fd", "--theta", "0.001"]),
+    ], ids=["negative-wait-reward", "simulate-theta-5", "spa-theta-0", "fd-theta-0.001"])
+    def test_invalid_input_exit_code(self, tmp_path, ini_edit, args):
+        (tmp_path / "small.ini").write_text(SMALL_INI.replace(*ini_edit) if ini_edit else SMALL_INI)
+        res = run_cli(["--config", "small.ini", "--out", ".", *args], tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert "Traceback" not in res.stderr
+
     def test_solve_nonconvergence_exit_code(self, tmp_path):
         res = run_cli(["--out", ".", "solve", "--nodes", "129", "--max-iter", "5"], tmp_path)
         assert res.returncode == 3

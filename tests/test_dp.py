@@ -18,7 +18,7 @@ from stopgrad.dp import (
     policy_value_sweep,
     value_iterate,
 )
-from stopgrad.kernel import UniformDeteriorationKernel
+from stopgrad.kernel import DomainError, UniformDeteriorationKernel
 from stopgrad.model import ConstantReward, LinearReward, StoppingModel
 from stopgrad.sim import ReplicationStreams, estimate_value
 
@@ -232,6 +232,10 @@ class TestPolicyValue:
         for th, res in zip(thetas, swept):
             single = policy_value(wsc_model, th, 0.0, num_nodes=513)
             assert res.value == pytest.approx(single.value, abs=2e-6)
+
+    def test_sweep_validates_its_inputs(self, wsc_model):
+        with pytest.raises(DomainError):
+            policy_value_sweep(wsc_model, [0.5], 2.0, num_nodes=65)
 
 
 class TestOracleDerivative:

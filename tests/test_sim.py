@@ -24,11 +24,17 @@ class TestReplicationStreams:
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a[0], a[1])
 
-    def test_partial_range_matches_full_block(self):
+    def test_only_block_ranges_are_served(self, wsc_model):
         s = ReplicationStreams(123, block_rows=64)
-        full = s.uniform_rows(0, 0, 200, 9)
-        part = s.uniform_rows(0, 37, 151, 9)
-        np.testing.assert_array_equal(part, full[37:151])
+        for lo, hi in ((37, 60), (60, 70), (0, 65)):
+            with pytest.raises(ValueError, match="block_ranges"):
+                s.uniform_rows(0, lo, hi, 9)
+        np.testing.assert_array_equal(s.uniform_rows(0, 128, 150, 9), s.uniform_rows(0, 128, 192, 9)[:22])
+        # A short final block draws the first rows of the full block.
+        short = sample_paths(wsc_model, 0.5, 0.0, 200, 1000, ReplicationStreams(29, block_rows=256))
+        long = sample_paths(wsc_model, 0.5, 0.0, 200, 5000, ReplicationStreams(29, block_rows=256))
+        for f in ("value", "stop_index", "cross_index", "died", "h_prev", "disc_at_stop"):
+            np.testing.assert_array_equal(getattr(short, f), getattr(long, f)[:1000])
 
     def test_purposes_and_domains_are_independent(self):
         s = ReplicationStreams(123)
