@@ -17,15 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dp
-from .config import (
-    ConfigError,
-    ExperimentConfig,
-    build_model,
-    load_config,
-    parse_method,
-    to_ini,
-    validate_config,
-)
+from .config import ConfigError, ExperimentConfig, build_model, format_value, load_config, parse_method, validate_config
 from .estimators import GradEstimate, fd_estimate, ipa_estimate, spa_estimate
 from .model import StoppingModel, check_assumptions
 from .sim import ReplicationStreams, sample_paths
@@ -42,27 +34,15 @@ EXIT_PARTIAL = 4
 _OPTIMIZER_DOMAIN_BASE = 1
 
 
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
-
-
 def _write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
         for row in rows:
-            w.writerow([_fmt(v) for v in row])
+            w.writerow([format_value(v) for v in row])
 
 
-def _resolve_theta(cfg: ExperimentConfig, model: StoppingModel, override: float | None) -> float:
-    if override is not None:
-        return float(override)
+def _resolve_theta(cfg: ExperimentConfig, model: StoppingModel) -> float:
     if cfg.policy.theta == "solve":
         V = dp.value_iterate(model)
         res = dp.extract_control_limit(model, V)
@@ -71,33 +51,26 @@ def _resolve_theta(cfg: ExperimentConfig, model: StoppingModel, override: float 
     return float(cfg.policy.theta)
 
 
-def _gradient_once(
-    model: StoppingModel,
-    method: str,
-    theta: float,
-    h0: float,
-    horizon: int,
-    reps: int,
-    delta: float | None,
-    crn: bool,
-    aux_reps: int,
-    streams: ReplicationStreams,
-    workers: int,
-) -> GradEstimate:
+def _gradient_once(cfg: ExperimentConfig, model: StoppingModel, method: str, delta: float | None, theta: float,
+                   reps: int, streams: ReplicationStreams, workers: int) -> GradEstimate:
+    h0, horizon, est = cfg.run.h0, cfg.run.horizon, cfg.estimator
     if method == "spa":
-        return spa_estimate(model, theta, h0, horizon, reps, aux_reps, streams, workers)
+        return spa_estimate(model, theta, h0, horizon, reps, est.aux_reps, streams, workers)
     if method == "fd":
-        return fd_estimate(model, theta, h0, horizon, reps, delta, crn, streams=streams, workers=workers)
-    if method == "ipa":
-        return ipa_estimate(model, theta, h0, horizon, reps)
-    raise ConfigError([f"unknown method {method!r}"])
+        return fd_estimate(model, theta, h0, horizon, reps, delta, est.crn, streams=streams, workers=workers)
+    return ipa_estimate(model, theta, h0, horizon, reps)
 
 
-def run_check(cfg: ExperimentConfig, model: StoppingModel, out: Path, grid_points: int) -> int:
-    grid = np.linspace(0.0, model.H_D, grid_points + 1)[:-1]
+# Every subcommand runs as run_<cmd>(cfg, model, out, streams, workers, args) -> exit code.  Its
+# settings come from the validated config; it reads from `args` only the flags that have no config field.
+
+def run_check(cfg: ExperimentConfig, model: StoppingModel, out: Path, streams: ReplicationStreams,
+              workers: int, args: argparse.Namespace) -> int:
+    grid = np.linspace(0.0, model.H_D, args.grid_points + 1)[:-1]
     report = check_assumptions(model, grid)
     rows = [
-        (r.name, r.passed, r.vacuous, r.worst, "" if r.witness is None else " ".join(_fmt(w) for w in r.witness), r.note)
+        (r.name, r.passed, r.vacuous, r.worst,
+         "" if r.witness is None else " ".join(format_value(w) for w in r.witness), r.note)
         for r in report
     ]
     _write_csv(out / "check.csv", ["assumption", "passed", "vacuous", "worst", "witness", "note"], rows)
@@ -110,8 +83,9 @@ def run_check(cfg: ExperimentConfig, model: StoppingModel, out: Path, grid_point
     return EXIT_OK
 
 
-def run_solve(cfg: ExperimentConfig, model: StoppingModel, out: Path, nodes: int, tol: float, max_iter: int) -> int:
-    V = dp.value_iterate(model, tol=tol, max_iter=max_iter, num_nodes=nodes)
+def run_solve(cfg: ExperimentConfig, model: StoppingModel, out: Path, streams: ReplicationStreams,
+              workers: int, args: argparse.Namespace) -> int:
+    V = dp.value_iterate(model, tol=args.tol, max_iter=args.max_iter, num_nodes=args.nodes)
     _write_csv(out / "value_function.csv", ["h", "value"], zip(V.nodes, V.values))
     limit = dp.extract_control_limit(model, V)
     print(f"value iteration: {V.iterations} iterations, residual {V.residual:.3e}, converged={V.converged}")
@@ -123,29 +97,32 @@ def run_solve(cfg: ExperimentConfig, model: StoppingModel, out: Path, nodes: int
 
 
 def run_simulate(cfg: ExperimentConfig, model: StoppingModel, out: Path, streams: ReplicationStreams,
-                 theta: float, reps: int, horizon: int, workers: int) -> int:
-    batch = sample_paths(model, theta, cfg.run.h0, horizon, reps, streams, workers)
+                 workers: int, args: argparse.Namespace) -> int:
+    theta = _resolve_theta(cfg, model)
+    run = cfg.run
+    batch = sample_paths(model, theta, run.h0, run.horizon, run.reps, streams, workers)
     rows = (
         (i, batch.value[i], "" if batch.stop_index[i] < 0 else int(batch.stop_index[i]), bool(batch.died[i]))
-        for i in range(reps)
+        for i in range(run.reps)
     )
     _write_csv(out / "simulate.csv", ["rep", "v_n", "stop_index", "died"], rows)
     mean = float(batch.value.mean())
-    se = float(batch.value.std(ddof=1) / np.sqrt(reps))
+    se = float(batch.value.std(ddof=1) / np.sqrt(run.reps))
     stopped = float((batch.stop_index >= 0).mean())
     died = float(batch.died.mean())
     print("theta,h0,horizon,N,mean,se")
-    print(f"{theta:.6g},{cfg.run.h0:.6g},{horizon},{reps},{mean:.8g},{se:.4g}")
+    print(f"{theta:.6g},{run.h0:.6g},{run.horizon},{run.reps},{mean:.8g},{se:.4g}")
     print(f"  stopped {100*stopped:.2f}%  died {100*died:.2f}%  "
-          f"horizon truncation bound {model.truncation_bound(horizon):.3g}")
+          f"horizon truncation bound {model.truncation_bound(run.horizon):.3g}")
     print(f"wrote {out / 'simulate.csv'}")
     return EXIT_OK
 
 
 def run_gradient(cfg: ExperimentConfig, model: StoppingModel, out: Path, streams: ReplicationStreams,
-                 method: str, theta: float, reps: int, horizon: int, delta: float, crn: bool,
-                 aux_reps: int, workers: int) -> int:
-    est = _gradient_once(model, method, theta, cfg.run.h0, horizon, reps, delta, crn, aux_reps, streams, workers)
+                 workers: int, args: argparse.Namespace) -> int:
+    method = cfg.estimator.method
+    est = _gradient_once(cfg, model, method, cfg.estimator.delta, _resolve_theta(cfg, model), cfg.run.reps,
+                         streams, workers)
     _write_csv(out / "gradient.csv", ["rep", "estimate"], enumerate(est.values))
     print(f"method,theta,N,mean,se")
     print(f"{est.method},{est.theta:.6g},{est.reps},{est.mean:.8g},{est.se:.4g}")
@@ -157,12 +134,13 @@ def run_gradient(cfg: ExperimentConfig, model: StoppingModel, out: Path, streams
     return EXIT_OK
 
 
-def run_sweep(cfg: ExperimentConfig, model: StoppingModel, streams: ReplicationStreams, workers: int):
-    """Cross product of sweep thetas x reps x methods; returns (rows, failures)."""
-    sw, est = cfg.sweep, cfg.estimator
+def run_sweep(cfg: ExperimentConfig, model: StoppingModel, out: Path, streams: ReplicationStreams,
+              workers: int, args: argparse.Namespace) -> int:
+    """Cross product of sweep thetas x reps x methods, one sweep.csv row per cell; a failed cell exits 4."""
+    sw = cfg.sweep
     if not sw.thetas or not sw.reps or not sw.methods:
         raise ConfigError(["sweep requires non-empty thetas, reps, and methods lists"])
-    methods = [parse_method(s, est.delta) for s in sw.methods]
+    methods = [parse_method(s, cfg.estimator.delta) for s in sw.methods]
     rows = []
     failures = []
     for n in sw.reps:
@@ -170,8 +148,7 @@ def run_sweep(cfg: ExperimentConfig, model: StoppingModel, streams: ReplicationS
             for name, delta in methods:
                 t0 = time.perf_counter()
                 try:
-                    g = _gradient_once(model, name, theta, cfg.run.h0, cfg.run.horizon, n,
-                                       delta, est.crn, est.aux_reps, streams, workers)
+                    g = _gradient_once(cfg, model, name, delta, theta, n, streams, workers)
                     rows.append((name, theta, n, delta, g.mean, g.se))
                     status = f"mean {g.mean:+.6f} se {g.se:.6f}"
                 except Exception as exc:  # keep sweeping; cell marked failed
@@ -181,10 +158,13 @@ def run_sweep(cfg: ExperimentConfig, model: StoppingModel, streams: ReplicationS
                 dt = time.perf_counter() - t0
                 label = name if delta is None else f"{name}(delta={delta:g})"
                 print(f"sweep cell N={n} theta={theta:g} {label}: {status}  [{dt:.2f}s]")
-    return rows, failures
+    _write_csv(out / "sweep.csv", ["method", "theta", "N", "delta", "mean", "se"], rows)
+    print(f"wrote {out / 'sweep.csv'} ({len(rows)} cells, {len(failures)} failed)")
+    return EXIT_PARTIAL if failures else EXIT_OK
 
 
-def run_optimize(cfg: ExperimentConfig, model: StoppingModel, out: Path, streams: ReplicationStreams, workers: int) -> int:
+def run_optimize(cfg: ExperimentConfig, model: StoppingModel, out: Path, streams: ReplicationStreams,
+                 workers: int, args: argparse.Namespace) -> int:
     trace = optimize_theta(cfg, model, streams, workers)
     _write_csv(out / "optimize_trace.csv", ["iteration", "theta", "estimate", "se"], trace)
     final_theta = trace[-1][1]
@@ -262,9 +242,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 # Command-line flags that override the config field of the same name, by section.
 _FLAG_SECTIONS = {
-    "seed": "run", "workers": "run", "reps": "run", "horizon": "run",
+    "seed": "run", "workers": "run", "reps": "run", "horizon": "run", "theta": "policy",
     "method": "estimator", "delta": "estimator", "crn": "estimator", "aux_reps": "estimator",
 }
+
+_COMMANDS = {"check": run_check, "solve": run_solve, "simulate": run_simulate, "gradient": run_gradient,
+             "sweep": run_sweep, "optimize": run_optimize}
 
 
 def main(argv=None) -> int:
@@ -293,32 +276,13 @@ def main(argv=None) -> int:
         streams = ReplicationStreams(cfg.run.seed)
         out = Path(getattr(args, "out", "."))
         out.mkdir(parents=True, exist_ok=True)
-        if args.command == "check":
-            return run_check(cfg, model, out, args.grid_points)
-        if args.command == "solve":
-            return run_solve(cfg, model, out, args.nodes, args.tol, args.max_iter)
-        if args.command == "simulate":
-            theta = _resolve_theta(cfg, model, args.theta)
-            return run_simulate(cfg, model, out, streams, theta, cfg.run.reps, cfg.run.horizon, workers)
-        if args.command == "gradient":
-            theta = _resolve_theta(cfg, model, args.theta)
-            return run_gradient(cfg, model, out, streams, cfg.estimator.method, theta,
-                                cfg.run.reps, cfg.run.horizon, cfg.estimator.delta,
-                                cfg.estimator.crn, cfg.estimator.aux_reps, workers)
-        if args.command == "sweep":
-            rows, failures = run_sweep(cfg, model, streams, workers)
-            _write_csv(out / "sweep.csv", ["method", "theta", "N", "delta", "mean", "se"], rows)
-            print(f"wrote {out / 'sweep.csv'} ({len(rows)} cells, {len(failures)} failed)")
-            return EXIT_PARTIAL if failures else EXIT_OK
-        if args.command == "optimize":
-            return run_optimize(cfg, model, out, streams, workers)
+        return _COMMANDS[args.command](cfg, model, out, streams, workers, args)
     except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except dp.ConvergenceError as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
-    return EXIT_OK
 
 
 if __name__ == "__main__":

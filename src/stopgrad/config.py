@@ -8,7 +8,9 @@ from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
-from .kernel import TransitionKernel, UniformDeteriorationKernel
+import numpy as np
+
+from .kernel import UniformDeteriorationKernel
 from .model import ConstantReward, LinearReward, StoppingModel, TabulatedReward
 
 __all__ = [
@@ -23,15 +25,16 @@ __all__ = [
     "ExperimentConfig",
     "parse_config",
     "load_config",
+    "format_value",
     "to_ini",
     "validate_config",
-    "build_kernel",
     "build_model",
     "reward_from_spec",
     "parse_method",
 ]
 
 BUILTIN_SCENARIOS = ("wsc-example",)
+_KERNELS = {"uniform-deterioration": UniformDeteriorationKernel}
 
 
 class ConfigError(ValueError):
@@ -103,47 +106,28 @@ class ExperimentConfig:
     optimize: OptimizeConfig = field(default_factory=OptimizeConfig)
 
 
-_SECTIONS = {
-    "model": ModelConfig,
-    "kernel": KernelConfig,
-    "policy": PolicyConfig,
-    "run": RunConfig,
-    "estimator": EstimatorConfig,
-    "sweep": SweepConfig,
-    "optimize": OptimizeConfig,
+def _split(raw: str) -> list[str]:
+    return [tok.strip() for tok in raw.split(",") if tok.strip()]
+
+
+def _parse_bool(raw: str) -> bool:
+    states = configparser.ConfigParser.BOOLEAN_STATES  # true/false, yes/no, on/off, 1/0
+    if raw.lower() not in states:
+        raise ValueError(f"expected a boolean, got {raw!r}")
+    return states[raw.lower()]
+
+
+# Value parsers keyed by the dataclass field annotations above.
+_PARSERS = {
+    "float": float,
+    "int": int,
+    "str": str,
+    "bool": _parse_bool,
+    "float | str": lambda raw: raw if raw == "solve" else float(raw),
+    "tuple[float, ...]": lambda raw: tuple(float(tok) for tok in _split(raw)),
+    "tuple[int, ...]": lambda raw: tuple(int(tok) for tok in _split(raw)),
+    "tuple[str, ...]": lambda raw: tuple(_split(raw)),
 }
-
-
-def _parse_value(raw: str, kind, name: str):
-    raw = raw.strip()
-    if kind == "theta":
-        return raw if raw == "solve" else float(raw)
-    if kind is float:
-        return float(raw)
-    if kind is int:
-        return int(raw)
-    if kind is bool:
-        low = raw.lower()
-        if low in ("true", "yes", "on", "1"):
-            return True
-        if low in ("false", "no", "off", "0"):
-            return False
-        raise ValueError(f"{name}: expected a boolean, got {raw!r}")
-    if kind == "floats":
-        return tuple(float(tok) for tok in raw.split(",") if tok.strip())
-    if kind == "ints":
-        return tuple(int(tok) for tok in raw.split(",") if tok.strip())
-    if kind == "strs":
-        return tuple(tok.strip() for tok in raw.split(",") if tok.strip())
-    return raw
-
-
-def _field_kind(section: str, f) -> object:
-    if section == "policy" and f.name == "theta":
-        return "theta"
-    if section == "sweep":
-        return {"thetas": "floats", "reps": "ints", "methods": "strs"}[f.name]
-    return f.type if not isinstance(f.type, str) else {"float": float, "int": int, "bool": bool, "str": str}.get(f.type, str)
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -155,9 +139,10 @@ def parse_config(text: str) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError([f"malformed config: {exc}"]) from exc
     cfg = ExperimentConfig()
+    sections = {f.name for f in fields(cfg)}
     errors = []
     for section in cp.sections():
-        if section not in _SECTIONS:
+        if section not in sections:
             errors.append(f"unknown config section [{section}]")
             continue
         target = getattr(cfg, section)
@@ -167,7 +152,7 @@ def parse_config(text: str) -> ExperimentConfig:
                 errors.append(f"unknown key {key!r} in section [{section}]")
                 continue
             try:
-                setattr(target, key, _parse_value(raw, _field_kind(section, known[key]), key))
+                setattr(target, key, _PARSERS[known[key].type](raw.strip()))
             except ValueError as exc:
                 errors.append(f"[{section}] {key}: {exc}")
     if errors:
@@ -175,24 +160,27 @@ def parse_config(text: str) -> ExperimentConfig:
     return cfg
 
 
-def _format_value(v) -> str:
-    if isinstance(v, bool):
+def format_value(v) -> str:
+    """A config value or CSV cell as text: None blank, booleans true/false, floats by repr."""
+    if v is None:
+        return ""
+    if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
     if isinstance(v, tuple):
-        return ", ".join(_format_value(x) for x in v)
-    if isinstance(v, float):
-        return repr(v)
+        return ", ".join(format_value(x) for x in v)
     return str(v)
 
 
 def to_ini(cfg: ExperimentConfig) -> str:
     """Serialize in canonical section/key order; parse(to_ini(cfg)) == cfg."""
     out = io.StringIO()
-    for section, _cls in _SECTIONS.items():
-        target = getattr(cfg, section)
-        out.write(f"[{section}]\n")
+    for section in fields(cfg):
+        target = getattr(cfg, section.name)
+        out.write(f"[{section.name}]\n")
         for f in fields(target):
-            out.write(f"{f.name} = {_format_value(getattr(target, f.name))}\n")
+            out.write(f"{f.name} = {format_value(getattr(target, f.name))}\n")
         out.write("\n")
     return out.getvalue()
 
@@ -261,7 +249,7 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
     for spec in cfg.sweep.methods:
         try:
             name, d = parse_method(spec, est.delta)
-            if name == "fd" and (d is None or d <= 0.0):
+            if name == "fd" and not (d > 0.0):
                 e.append(f"sweep method {spec!r} needs a positive delta")
         except (ConfigError, ValueError):
             e.append(f"sweep method {spec!r} is not valid")
@@ -271,7 +259,7 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
         e.append("optimize.iterations must be nonnegative")
     if opt.reps_per_step < 2:
         e.append("optimize.reps_per_step must be at least 2")
-    if opt.step_size < 0.0:
+    if not (opt.step_size >= 0.0):
         e.append("optimize.step_size must be nonnegative")
     if not (0.0 < opt.clip_margin < m.H / 2.0):
         e.append("optimize.clip_margin must lie in (0, H/2)")
@@ -280,10 +268,11 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
         reward_from_spec(m.reward_transplant, m.H)
     except (ConfigError, ValueError) as exc:
         e.append(str(exc))
-    if cfg.kernel.name not in ("uniform-deterioration",):
+    kernel = _KERNELS.get(cfg.kernel.name)
+    if kernel is None:
         e.append(f"unknown kernel {cfg.kernel.name!r}")
-    elif m.H != 1.0:
-        e.append("uniform-deterioration kernel requires H = 1")
+    elif m.H != kernel.H:
+        e.append(f"{cfg.kernel.name} kernel requires H = {kernel.H:g}")
     return e
 
 
@@ -317,17 +306,11 @@ def reward_from_spec(spec: str, H: float):
     raise ConfigError([f"unknown reward kind {kind!r} in {spec!r}"])
 
 
-def build_kernel(cfg: ExperimentConfig) -> TransitionKernel:
-    if cfg.kernel.name == "uniform-deterioration":
-        return UniformDeteriorationKernel()
-    raise ConfigError([f"unknown kernel {cfg.kernel.name!r}"])
-
-
 def build_model(cfg: ExperimentConfig) -> StoppingModel:
     """Construct the StoppingModel from a validated config."""
     m = cfg.model
     return StoppingModel(
-        kernel=build_kernel(cfg),
+        kernel=_KERNELS[cfg.kernel.name](),
         reward_wait=reward_from_spec(m.reward_wait, m.H),
         reward_transplant=reward_from_spec(m.reward_transplant, m.H),
         H=m.H,

@@ -172,7 +172,7 @@ def fd_estimate(
     With `crn` both evaluation points replay the same uniform substream, which
     couples the paths until they first disagree about stopping.
     """
-    if delta <= 0.0:
+    if not (delta > 0.0):
         raise ValueError("delta must be positive")
     if theta - delta / 2.0 < 0.0 or theta + delta / 2.0 > model.H:
         raise DomainError("theta +/- delta/2 must stay inside [0, H]")

@@ -168,7 +168,7 @@ def map_blocks(fn: Callable, ranges: Sequence[tuple[int, int]], workers: int = 1
     """Apply fn(lo, hi) over block ranges, in order; parallel when workers > 1."""
     if workers <= 1 or len(ranges) <= 1:
         return [fn(lo, hi) for lo, hi in ranges]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(ranges))) as pool:
         return list(pool.map(_call_range, [fn] * len(ranges), ranges))
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import run_cli
+from stopgrad import ReplicationStreams, sample_paths
 from stopgrad.config import (
     ConfigError,
     ExperimentConfig,
@@ -109,7 +110,9 @@ class TestValidation:
             lambda c: setattr(c.kernel, "name", "mystery"),
             lambda c: setattr(c.optimize, "theta0", 0.0),
             lambda c: setattr(c.optimize, "step_size", -0.01),
+            lambda c: setattr(c.optimize, "step_size", float("nan")),
             lambda c: setattr(c.sweep, "methods", ("fd:-1",)),
+            lambda c: setattr(c.sweep, "methods", ("fd:nan",)),
         ],
     )
     def test_rejections(self, mutate):
@@ -293,3 +296,26 @@ class TestCliSubcommands:
         res = run_cli(["--config", "solve.ini", "--out", ".", "simulate"], tmp_path)
         assert res.returncode == 0, res.stderr
         assert "using control limit 1" in res.stdout
+
+    def test_theta_flag_overrides_solve_policy(self, tmp_path):
+        (tmp_path / "solve.ini").write_text(SMALL_INI + "\n[policy]\ntheta = solve\n")
+        res = run_cli(["--config", "solve.ini", "--out", ".", "simulate", "--theta", "0.4"], tmp_path)
+        assert res.returncode == 0, res.stderr
+        assert "using control limit" not in res.stdout
+        assert res.stdout.splitlines()[1].startswith("0.4,")
+
+    def test_simulate_csv_cell_formats(self, tmp_path):
+        # An interior death region and a short horizon give rows that transplant, die and are truncated.
+        text = SMALL_INI.replace("H_D = 1.0", "H_D = 0.7")
+        (tmp_path / "death.ini").write_text(text)
+        args = ["simulate", "--theta", "0.6", "--reps", "200", "--horizon", "3"]
+        res = run_cli(["--config", "death.ini", "--out", ".", *args], tmp_path)
+        assert res.returncode == 0, res.stderr
+        rows = read_csv(tmp_path / "simulate.csv")
+        assert {r["died"] for r in rows} == {"true", "false"}
+        assert all(r["v_n"] == repr(float(r["v_n"])) for r in rows)
+        blank = np.array([r["stop_index"] == "" for r in rows])
+        cfg = parse_config(text)
+        batch = sample_paths(build_model(cfg), 0.6, 0.0, 3, 200, ReplicationStreams(cfg.run.seed))
+        assert 0 < blank.sum() < len(rows)
+        np.testing.assert_array_equal(blank, batch.stop_index < 0)

@@ -189,6 +189,8 @@ class TestFiniteDifferences:
             fd_estimate(wsc_model, 0.05, 0.0, 10, 10, delta=0.2, streams=ReplicationStreams(1))
         with pytest.raises(ValueError):
             fd_estimate(wsc_model, 0.5, 0.0, 10, 10, delta=0.0, streams=ReplicationStreams(1))
+        with pytest.raises(ValueError):
+            fd_estimate(wsc_model, 0.5, 0.0, 10, 10, delta=float("nan"), streams=ReplicationStreams(1))
 
     def test_common_draws_cut_variance(self, wsc_model):
         coupled = fd_estimate(wsc_model, 0.5, 0.0, 200, 3000, delta=0.05, crn=True, streams=ReplicationStreams(41))

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from conftest import replay
+from stopgrad import sim
 from stopgrad.kernel import DomainError, UniformDeteriorationKernel
 from stopgrad.model import ConstantReward, LinearReward, StoppingModel
 from stopgrad.sim import (
     ReplicationStreams,
     _paths_from_uniforms,
     estimate_value,
+    map_blocks,
     sample_paths,
 )
 
@@ -228,3 +230,25 @@ class TestEstimateValue:
     def test_reps_validation(self, wsc_model):
         with pytest.raises(ValueError):
             estimate_value(wsc_model, 0.5, 0.0, 10, 1, ReplicationStreams(1))
+
+
+def test_pool_is_no_larger_than_the_block_count(monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(sim, "ProcessPoolExecutor", SerialPool)
+    ranges = [(0, 3), (3, 5)]
+    assert map_blocks(lambda lo, hi: (lo, hi), ranges, workers=64) == ranges
+    assert sizes == [2]
