@@ -11,8 +11,8 @@ from .dp import (
     value_iterate,
 )
 from .estimators import GradEstimate, fd_estimate, ipa_estimate, spa_estimate
-from .kernel import TransitionKernel, UniformDeteriorationKernel, check_ifr
-from .model import StoppingModel, check_assumptions
+from .kernel import TransitionKernel, UniformDeteriorationKernel
+from .model import StoppingModel, check_assumptions, check_ifr
 from .sim import ReplicationStreams, estimate_value, sample_paths
 
 __version__ = "0.1.0"

@@ -14,7 +14,6 @@ from .model import StoppingModel
 __all__ = [
     "ConvergenceError",
     "GridValueFunction",
-    "PolicyValue",
     "ControlLimitResult",
     "make_grid",
     "GridDynamics",
@@ -30,6 +29,14 @@ ORACLE_NODES = 4097    # 2^12 + 1
 
 _EDGE_NUDGE = 1e-9
 
+# Policy evaluation stops at the first sweep that moves every waiting value by
+# less than _POLICY_TOL; running out of sweeps raises ConvergenceError.
+_POLICY_TOL = 1e-10
+_POLICY_MAX_ITER = 50_000
+
+# Slack by which transplanting may trail waiting and still count as optimal.
+_CONTROL_TOL = 1e-8
+
 # Cells whose density points are evaluated in one kernel call while building
 # the weights; keeps the temporaries to a few MB at ORACLE_NODES.
 _BLOCK_CELLS = 16
@@ -41,6 +48,8 @@ class ConvergenceError(RuntimeError):
 
 def make_grid(model: StoppingModel, num_nodes: int = DEFAULT_NODES, extra: Sequence[float] = ()) -> np.ndarray:
     """Uniform node grid on [0, H] with H_D and any extra points inserted exactly."""
+    if num_nodes < 2:
+        raise ValueError("num_nodes must be at least 2")
     pts = np.concatenate([np.linspace(0.0, model.H, num_nodes), [model.H_D], np.asarray(extra, dtype=float)])
     if np.any(pts < 0.0) or np.any(pts > model.H):
         raise DomainError("grid points must lie in [0, H]")
@@ -153,21 +162,12 @@ class GridValueFunction:
     iterations: int = 0
     residual: float = float("inf")
     converged: bool = False
-    tol: float = 0.0
     residual_history: tuple[float, ...] = field(default_factory=tuple, repr=False)
     dynamics: GridDynamics | None = field(default=None, repr=False, compare=False)
 
     def value_at(self, h):
         out = np.interp(np.asarray(h, dtype=float), self.nodes, self.values)
         return float(out) if np.ndim(h) == 0 else out
-
-
-@dataclass(frozen=True)
-class PolicyValue:
-    value: float
-    converged: bool
-    iterations: int
-    residual: float
 
 
 @dataclass(frozen=True)
@@ -194,8 +194,10 @@ def value_iterate(
     The iterate sequence is checked to be pointwise nondecreasing; the result
     carries a non-convergence flag if the budget runs out first.
     """
-    if tol <= 0.0:
+    if not (tol > 0.0):
         raise ValueError("tol must be positive")
+    if max_iter < 0:
+        raise ValueError("max_iter must be nonnegative")
     if model.discount >= 1.0:
         raise ValueError("infinite-horizon value iteration requires discount < 1")
     grid = make_grid(model, num_nodes)
@@ -218,10 +220,10 @@ def value_iterate(
             converged = True
             break
     residual = history[-1] if history else float("inf")
-    return GridValueFunction(grid, V, it if max_iter > 0 else 0, residual, converged, tol, tuple(history), dyn)
+    return GridValueFunction(grid, V, it, residual, converged, tuple(history), dyn)
 
 
-def extract_control_limit(model: StoppingModel, V: GridValueFunction, tol: float = 1e-8) -> ControlLimitResult:
+def extract_control_limit(model: StoppingModel, V: GridValueFunction) -> ControlLimitResult:
     """Smallest grid node where transplanting is optimal under V, with a check
     that the transplant-optimal node set is an up-set of the grid.  V must come
     from `value_iterate` on the same model, whose dynamics it reuses."""
@@ -230,7 +232,7 @@ def extract_control_limit(model: StoppingModel, V: GridValueFunction, tol: float
         raise ValueError("V was not solved by value_iterate for this model")
     c, r = _raw_rewards(model, V.nodes)
     cont = dyn.continuation(V.values)
-    opt_t = (r >= c + model.discount * cont - tol) & dyn.alive
+    opt_t = (r >= c + model.discount * cont - _CONTROL_TOL) & dyn.alive
     alive_idx = np.nonzero(dyn.alive)[0]
     flags = opt_t[alive_idx]
     if not flags.any():
@@ -245,15 +247,13 @@ def _policy_fixed_point(
     dyn: GridDynamics,
     model: StoppingModel,
     theta: float,
-    tol: float,
-    max_iter: int,
     warm: np.ndarray | None = None,
-) -> tuple[np.ndarray, int, float, bool]:
+) -> np.ndarray:
     """Solve the fixed point of the threshold policy on the grid.
 
     Returns the array of left-limit values at the nodes (death nodes zero),
     which is the function used both for integration and for reporting values
-    below the threshold.
+    below the threshold.  Raises ConvergenceError if the sweeps run out.
     """
     x = dyn.nodes
     lam = model.discount
@@ -266,19 +266,16 @@ def _policy_fixed_point(
     if warm is not None:
         vl[left_wait] = warm[left_wait]
     vr = np.where(right_wait, vl, base)
-    converged = False
-    it = 0
-    residual = float("inf")
-    for it in range(1, max_iter + 1):
+    for _ in range(_POLICY_MAX_ITER):
         cont = dyn.continuation(vr, vl)
         new_wait = c + lam * cont
         residual = float(np.abs(new_wait[left_wait] - vl[left_wait]).max()) if left_wait.any() else 0.0
         vl = np.where(left_wait, new_wait, base)
         vr = np.where(right_wait, new_wait, base)
-        if residual < tol:
-            converged = True
-            break
-    return vl, it, residual, converged
+        if residual < _POLICY_TOL:
+            return vl
+    raise ConvergenceError(f"policy evaluation at theta {theta!r} did not converge in {_POLICY_MAX_ITER} sweeps "
+                           f"(residual {residual:.3e})")
 
 
 def policy_value(
@@ -286,15 +283,13 @@ def policy_value(
     theta: float,
     h0: float,
     num_nodes: int = DEFAULT_NODES,
-    tol: float = 1e-10,
-    max_iter: int = 50_000,
-) -> PolicyValue:
+) -> float:
     """Expected discounted reward of the threshold policy from h0, solved on a grid.
 
     The threshold is inserted as a grid node so the wait/transplant boundary is
-    honored exactly.
+    honored exactly.  Raises ConvergenceError if policy evaluation does not converge.
     """
-    return policy_value_sweep(model, (theta,), h0, num_nodes, tol, max_iter)[0]
+    return policy_value_sweep(model, (theta,), h0, num_nodes)[0]
 
 
 def policy_value_sweep(
@@ -302,27 +297,27 @@ def policy_value_sweep(
     thetas: Sequence[float],
     h0: float,
     num_nodes: int = DEFAULT_NODES,
-    tol: float = 1e-10,
-    max_iter: int = 50_000,
-) -> list[PolicyValue]:
-    """Policy values over a list of thresholds on one shared grid (warm-started)."""
+) -> list[float]:
+    """Policy values over a list of thresholds on one shared grid (warm-started).
+
+    Raises ConvergenceError if policy evaluation does not converge at some threshold.
+    """
     ths = [float(t) for t in thetas]
     if not all(0.0 <= t <= model.H for t in ths) or not (0.0 <= h0 <= model.H):
         raise DomainError("theta and h0 must lie in [0, H]")
     if model.discount >= 1.0:
         raise ValueError("infinite-horizon policy evaluation requires discount < 1")
     dyn = GridDynamics(model, make_grid(model, num_nodes, extra=ths))
-    out: list[PolicyValue] = []
+    out: list[float] = []
     warm: np.ndarray | None = None
     for t in ths:
-        warm, it, residual, converged = _policy_fixed_point(dyn, model, t, tol, max_iter, warm)
+        warm = _policy_fixed_point(dyn, model, t, warm)
         if model.is_dead(h0):
-            val = 0.0
+            out.append(0.0)
         elif h0 >= t:
-            val = float(model.transplant_reward(h0))
+            out.append(float(model.transplant_reward(h0)))
         else:
-            val = float(np.interp(h0, dyn.nodes, warm))
-        out.append(PolicyValue(val, converged, it, residual))
+            out.append(float(np.interp(h0, dyn.nodes, warm)))
     return out
 
 
@@ -332,8 +327,6 @@ def oracle_derivative(
     h0: float,
     dtheta: float = 1e-3,
     num_nodes: int = ORACLE_NODES,
-    tol: float = 1e-10,
-    max_iter: int = 50_000,
 ) -> float:
     """Deterministic central difference of the policy value in the threshold.
 
@@ -341,12 +334,10 @@ def oracle_derivative(
     difference never degenerates to a same-cell comparison and the grid bias
     cancels between the two solves.
     """
-    if dtheta <= 0.0:
+    if not (dtheta > 0.0):
         raise ValueError("dtheta must be positive")
     lo, hi = theta - dtheta / 2.0, theta + dtheta / 2.0
     if not (0.0 < lo and hi < model.H):
         raise DomainError("theta +/- dtheta/2 must lie inside (0, H)")
-    res_hi, res_lo = policy_value_sweep(model, (hi, lo), h0, num_nodes, tol, max_iter)
-    if not (res_hi.converged and res_lo.converged):
-        raise ConvergenceError("policy evaluation did not converge while forming the oracle derivative")
-    return (res_hi.value - res_lo.value) / dtheta
+    v_hi, v_lo = policy_value_sweep(model, (hi, lo), h0, num_nodes)
+    return (v_hi - v_lo) / dtheta

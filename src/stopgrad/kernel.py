@@ -1,10 +1,9 @@
-"""Patient-health transition kernels: densities, tail masses, inverse CDFs, IFR checks."""
+"""Patient-health transition kernels: densities, tail masses, inverse CDFs, quadrature."""
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -12,8 +11,6 @@ __all__ = [
     "DomainError",
     "TransitionKernel",
     "UniformDeteriorationKernel",
-    "IfrReport",
-    "check_ifr",
     "integrate_density",
 ]
 
@@ -88,12 +85,6 @@ class UniformDeteriorationKernel(TransitionKernel):
     so density/tail_mass treat it as an absorbing atom.
     """
 
-    H: float = 1.0
-
-    def __post_init__(self):
-        if self.H != 1.0:
-            raise ValueError("uniform-deterioration kernel is defined on the unit interval")
-
     def density(self, h_next, h_cur):
         hn = _check_state(h_next, self.H, "h_next")
         hc = _check_state(h_cur, self.H, "h_cur")
@@ -159,43 +150,3 @@ def integrate_density(
         pad = _EDGE_NUDGE * width
         total += _simpson(lambda x: kernel.density(x, h_cur), p + pad, q - pad, DEFAULT_PANELS)
     return total
-
-
-@dataclass(frozen=True)
-class IfrReport:
-    """Outcome of the grid-based increasing-failure-rate audit."""
-
-    passed: bool
-    worst_violation: float
-    witness: tuple[float, float, float] | None
-    tol: float
-
-    def __bool__(self) -> bool:
-        return self.passed
-
-
-def check_ifr(kernel: TransitionKernel, grid: Sequence[float] | None = None, tol: float = 1e-9) -> IfrReport:
-    """Check on a grid that x -> tail_mass(x0, x) is nondecreasing for every grid x0.
-
-    Numerical audit, not a proof: monotonicity is tested pairwise on adjacent
-    grid points (101 equispaced points by default).  Returns the worst
-    violating triple (x0, x1, x2) if any.
-    """
-    if grid is None:
-        grid = np.linspace(0.0, kernel.H, 101)
-    g = np.asarray(grid, dtype=float)
-    if g.ndim != 1 or g.size == 0:
-        raise ValueError("grid must be a non-empty 1-D sequence")
-    if np.any(np.diff(g) <= 0.0):
-        raise ValueError("grid must be strictly increasing")
-    _check_state(g, kernel.H, "grid")
-    if g.size == 1:
-        return IfrReport(True, 0.0, None, tol)
-    tails = np.asarray(kernel.tail_mass(g[:, None], g[None, :]))  # [x0, x]
-    drops = tails[:, :-1] - tails[:, 1:]  # positive entries are violations
-    worst = float(drops.max())
-    if worst <= tol:
-        return IfrReport(True, max(worst, 0.0), None, tol)
-    i, j = np.unravel_index(int(np.argmax(drops)), drops.shape)
-    witness = (float(g[i]), float(g[j]), float(g[j + 1]))
-    return IfrReport(False, worst, witness, tol)

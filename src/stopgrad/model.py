@@ -7,7 +7,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .kernel import DomainError, TransitionKernel, check_ifr, integrate_density
+from .kernel import TransitionKernel, _check_state, integrate_density
 
 __all__ = [
     "ConstantReward",
@@ -17,10 +17,14 @@ __all__ = [
     "AssumptionResult",
     "AssumptionReport",
     "check_assumptions",
+    "check_ifr",
 ]
 
 # Largest |mass - 1| the A2 audit accepts for the density plus point masses.
 _NORM_TOL = 1e-8
+
+# Largest violation the A1 and A3-A5 audits accept.
+_AUDIT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -112,13 +116,13 @@ class StoppingModel:
 
     def wait_reward(self, h):
         """One-period waiting reward, zero on the death region."""
-        hv = self._check(h)
+        hv = _check_state(h, self.H, "health state")
         out = np.where(hv >= self.H_D, 0.0, np.asarray(self.reward_wait(hv), dtype=float))
         return float(out) if np.ndim(h) == 0 else out
 
     def transplant_reward(self, h):
         """Terminal transplant reward, zero on the death region."""
-        hv = self._check(h)
+        hv = _check_state(h, self.H, "health state")
         out = np.where(hv >= self.H_D, 0.0, np.asarray(self.reward_transplant(hv), dtype=float))
         return float(out) if np.ndim(h) == 0 else out
 
@@ -127,12 +131,6 @@ class StoppingModel:
         if self.discount >= 1.0:
             return float("inf")
         return self.discount ** (horizon + 1) * max(self.wait_sup, self.transplant_sup) / (1.0 - self.discount)
-
-    def _check(self, h):
-        hv = np.asarray(h, dtype=float)
-        if np.any(hv < 0.0) or np.any(hv > self.H) or np.any(np.isnan(hv)):
-            raise DomainError(f"health state must lie in [0, {self.H}]")
-        return hv
 
 
 @dataclass(frozen=True)
@@ -171,11 +169,35 @@ def _monotone_worst(values: np.ndarray, direction: int) -> tuple[float, int]:
     return worst, idx
 
 
-def check_assumptions(
-    model: StoppingModel,
-    grid: Sequence[float] | None = None,
-    tol: float = 1e-9,
-) -> AssumptionReport:
+def _audit_grid(grid: Sequence[float]) -> np.ndarray:
+    g = np.asarray(grid, dtype=float)
+    if g.ndim != 1 or g.size == 0:
+        raise ValueError("grid must be a non-empty 1-D sequence")
+    if np.any(np.diff(g) <= 0.0):
+        raise ValueError("grid must be strictly increasing")
+    return g
+
+
+def check_ifr(kernel: TransitionKernel, grid: Sequence[float]) -> AssumptionResult:
+    """A3: check on a grid that x -> tail_mass(x0, x) is nondecreasing for every grid x0.
+
+    Numerical audit, not a proof: monotonicity is tested pairwise on adjacent
+    grid points.  A failing result carries the worst violating triple (x0, x1, x2).
+    """
+    g = _audit_grid(grid)
+    _check_state(g, kernel.H, "grid")
+    if g.size == 1:
+        return AssumptionResult("A3", True)
+    tails = np.asarray(kernel.tail_mass(g[:, None], g[None, :]))  # [x0, x]
+    drops = tails[:, :-1] - tails[:, 1:]  # positive entries are violations
+    worst = float(drops.max())
+    if worst <= _AUDIT_TOL:
+        return AssumptionResult("A3", True, worst=max(worst, 0.0))
+    i, j = np.unravel_index(int(np.argmax(drops)), drops.shape)
+    return AssumptionResult("A3", False, worst=worst, witness=(float(g[i]), float(g[j]), float(g[j + 1])))
+
+
+def check_assumptions(model: StoppingModel, grid: Sequence[float] | None = None) -> AssumptionReport:
     """Numerical audit of the structural conditions behind the threshold-optimality result.
 
     A failing entry does not block simulation or gradient estimation; it only
@@ -184,9 +206,7 @@ def check_assumptions(
     """
     if grid is None:
         grid = np.linspace(0.0, model.H_D, 102)[:-1]
-    g = np.asarray(grid, dtype=float)
-    if np.any(np.diff(g) <= 0.0):
-        raise ValueError("grid must be strictly increasing")
+    g = _audit_grid(grid)
     if np.any(g < 0.0) or np.any(g >= model.H_D):
         raise ValueError("grid must lie in [0, H_D)")
 
@@ -197,7 +217,7 @@ def check_assumptions(
     r = np.asarray(model.reward_transplant(g), dtype=float)
     worst_c, i_c = _monotone_worst(c, -1)
     worst_r, i_r = _monotone_worst(r, -1)
-    if max(worst_c, worst_r) <= tol:
+    if max(worst_c, worst_r) <= _AUDIT_TOL:
         results.append(AssumptionResult("A1", True, worst=max(worst_c, worst_r)))
     else:
         which, worst, i = ("wait", worst_c, i_c) if worst_c >= worst_r else ("transplant", worst_r, i_r)
@@ -220,8 +240,7 @@ def check_assumptions(
     results.append(AssumptionResult("A2", a2_ok, worst=worst_norm, note=f"grid density bound {grid_bound:.6g}"))
 
     # A3: increasing failure rate of the kernel.
-    ifr = check_ifr(model.kernel, g, tol=tol)
-    results.append(AssumptionResult("A3", ifr.passed, worst=ifr.worst_violation, witness=ifr.witness))
+    results.append(check_ifr(model.kernel, g))
 
     no_death = model.H_D >= model.H
     tails_hd = np.asarray(model.kernel.tail_mass(model.H_D, g))
@@ -233,7 +252,7 @@ def check_assumptions(
         tails_h0 = np.asarray(model.kernel.tail_mass(g[:, None], g[None, :]))  # [h0, h]
         below = tails_h0 - tails_hd[None, :]
         worst = float((below[:, :-1] - below[:, 1:]).max())
-        if worst <= tol:
+        if worst <= _AUDIT_TOL:
             results.append(AssumptionResult("A4", True, worst=max(worst, 0.0)))
         else:
             i, j = np.unravel_index(int(np.argmax(below[:, :-1] - below[:, 1:])), (g.size, g.size - 1))
@@ -251,7 +270,7 @@ def check_assumptions(
         rhs = model.discount * (tails_hd[i2] - tails_hd[i1])
         excess = lhs - rhs
         worst = float(excess.max()) if excess.size else 0.0
-        if worst <= tol:
+        if worst <= _AUDIT_TOL:
             results.append(AssumptionResult("A5", True, worst=max(worst, 0.0)))
         else:
             k = int(np.argmax(excess))

@@ -169,11 +169,7 @@ def map_blocks(fn: Callable, ranges: Sequence[tuple[int, int]], workers: int = 1
     if workers <= 1 or len(ranges) <= 1:
         return [fn(lo, hi) for lo, hi in ranges]
     with ProcessPoolExecutor(max_workers=min(workers, len(ranges))) as pool:
-        return list(pool.map(_call_range, [fn] * len(ranges), ranges))
-
-
-def _call_range(fn: Callable, rng_pair: tuple[int, int]):
-    return fn(*rng_pair)
+        return list(pool.map(fn, *zip(*ranges)))
 
 
 def _path_block(model: StoppingModel, theta: float, h0: float, horizon: int,

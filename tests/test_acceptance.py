@@ -170,7 +170,7 @@ def test_criterion_07_structural_results(wsc_model, value_function):
     assert limit.structure_ok
     thetas = np.linspace(0.0, 1.0, 21)
     sweep = policy_value_sweep(wsc_model, thetas, H0)
-    best = thetas[int(np.argmax([p.value for p in sweep]))]
+    best = thetas[int(np.argmax(sweep))]
     cell = max(np.diff(thetas).max(), V.nodes[1] - V.nodes[0])
     assert abs(best - limit.theta) <= cell + 1e-12
     assert check_ifr(wsc_model.kernel, np.linspace(0.0, 1.0, 101)).passed

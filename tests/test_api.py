@@ -5,6 +5,14 @@ kernels, the per-replication generator, the policy and action types, the
 per-action stage reward, the one-draw sampler of the kernel base class and the
 standalone Bellman backup.  Their behaviour is covered through the vectorized
 kernels, `value_iterate` and the closed form in `oracles`.
+
+Also removed on purpose: the `PolicyValue` record (policy values are plain
+floats, and non-convergence raises `ConvergenceError`), the `IfrReport` record
+(`check_ifr` returns the A3 `AssumptionResult`), `GridValueFunction.tol`, the
+`H` field of `UniformDeteriorationKernel`, and the solver and audit tolerance
+knobs: `tol`/`max_iter` of `policy_value`, `policy_value_sweep` and
+`oracle_derivative`, and `tol` of `extract_control_limit`, `check_assumptions`
+and `check_ifr`.  Each is now a private module constant.
 """
 
 from __future__ import annotations
@@ -22,12 +30,11 @@ MODULES = {
                      "sample_paths"},
     "stopgrad.estimators": {"DegenerateHazardError", "GradEstimate", "fd_estimate", "ipa_estimate", "spa_estimate"},
     "stopgrad.model": {"AssumptionReport", "AssumptionResult", "ConstantReward", "LinearReward", "StoppingModel",
-                       "TabulatedReward", "check_assumptions"},
-    "stopgrad.dp": {"ControlLimitResult", "ConvergenceError", "GridDynamics", "GridValueFunction", "PolicyValue",
+                       "TabulatedReward", "check_assumptions", "check_ifr"},
+    "stopgrad.dp": {"ControlLimitResult", "ConvergenceError", "GridDynamics", "GridValueFunction",
                     "extract_control_limit", "make_grid", "oracle_derivative", "policy_value", "policy_value_sweep",
                     "value_iterate"},
-    "stopgrad.kernel": {"DomainError", "IfrReport", "TransitionKernel", "UniformDeteriorationKernel", "check_ifr",
-                        "integrate_density"},
+    "stopgrad.kernel": {"DomainError", "TransitionKernel", "UniformDeteriorationKernel", "integrate_density"},
 }
 
 # Public attributes of the classes that lost test-only methods.
@@ -49,12 +56,14 @@ SIGNATURES = {
     "stopgrad.estimators.ipa_estimate": ("model", "theta", "h0", "horizon", "reps"),
     "stopgrad.estimators.spa_estimate": ("model", "theta", "h0", "horizon", "reps", "aux_reps", "streams",
                                          "workers"),
-    "stopgrad.dp.extract_control_limit": ("model", "V", "tol"),
+    "stopgrad.dp.extract_control_limit": ("model", "V"),
     "stopgrad.dp.make_grid": ("model", "num_nodes", "extra"),
-    "stopgrad.dp.oracle_derivative": ("model", "theta", "h0", "dtheta", "num_nodes", "tol", "max_iter"),
-    "stopgrad.dp.policy_value": ("model", "theta", "h0", "num_nodes", "tol", "max_iter"),
-    "stopgrad.dp.policy_value_sweep": ("model", "thetas", "h0", "num_nodes", "tol", "max_iter"),
+    "stopgrad.dp.oracle_derivative": ("model", "theta", "h0", "dtheta", "num_nodes"),
+    "stopgrad.dp.policy_value": ("model", "theta", "h0", "num_nodes"),
+    "stopgrad.dp.policy_value_sweep": ("model", "thetas", "h0", "num_nodes"),
     "stopgrad.dp.value_iterate": ("model", "tol", "max_iter", "num_nodes"),
+    "stopgrad.model.check_assumptions": ("model", "grid"),
+    "stopgrad.model.check_ifr": ("kernel", "grid"),
 }
 
 
@@ -84,7 +93,7 @@ def test_class_surface_is_pinned(cls):
 
 
 def test_function_signatures_are_pinned():
-    funcs = {f"{m}.{n}": v for m in ("stopgrad.sim", "stopgrad.estimators", "stopgrad.dp")
+    funcs = {f"{m}.{n}": v for m in ("stopgrad.sim", "stopgrad.estimators", "stopgrad.dp", "stopgrad.model")
              for n, v in vars(importlib.import_module(m)).items()
              if not n.startswith("_") and inspect.isfunction(v) and v.__module__ == m}
     assert {name: tuple(inspect.signature(fn).parameters) for name, fn in funcs.items()} == SIGNATURES

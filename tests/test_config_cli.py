@@ -253,7 +253,12 @@ class TestCliSubcommands:
         (None, ["simulate", "--theta", "5"]),
         (None, ["gradient", "--method", "spa", "--theta", "0"]),
         (None, ["gradient", "--method", "fd", "--theta", "0.001"]),
-    ], ids=["negative-wait-reward", "simulate-theta-5", "spa-theta-0", "fd-theta-0.001"])
+        (None, ["solve", "--tol", "nan", "--max-iter", "5"]),
+        (None, ["solve", "--max-iter", "-1"]),
+        (None, ["solve", "--nodes", "1"]),
+        (None, ["check", "--grid-points", "0"]),
+    ], ids=["negative-wait-reward", "simulate-theta-5", "spa-theta-0", "fd-theta-0.001", "solve-tol-nan",
+            "solve-max-iter-negative", "solve-nodes-1", "check-grid-points-0"])
     def test_invalid_input_exit_code(self, tmp_path, ini_edit, args):
         (tmp_path / "small.ini").write_text(SMALL_INI.replace(*ini_edit) if ini_edit else SMALL_INI)
         res = run_cli(["--config", "small.ini", "--out", ".", *args], tmp_path)

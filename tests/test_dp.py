@@ -196,42 +196,40 @@ class TestExtractControlLimit:
 
 class TestPolicyValue:
     def test_zero_threshold_is_immediate_transplant(self, wsc_model):
-        assert policy_value(wsc_model, 0.0, 0.3, num_nodes=129).value == pytest.approx(8.0 * 0.7)
+        assert policy_value(wsc_model, 0.0, 0.3, num_nodes=129) == pytest.approx(8.0 * 0.7)
 
     def test_start_above_threshold(self, wsc_model):
-        assert policy_value(wsc_model, 0.5, 0.6, num_nodes=129).value == pytest.approx(3.2)
+        assert policy_value(wsc_model, 0.5, 0.6, num_nodes=129) == pytest.approx(3.2)
 
     @pytest.mark.parametrize("theta", [0.2, 0.5, 0.8])
     def test_matches_closed_form(self, wsc_model, theta):
-        pv = policy_value(wsc_model, theta, 0.0)
-        assert pv.converged
-        assert pv.value == pytest.approx(value_exact(theta, LAM), abs=5e-6)
+        assert policy_value(wsc_model, theta, 0.0) == pytest.approx(value_exact(theta, LAM), abs=5e-6)
 
     def test_never_transplant_is_waiting_perpetuity(self, wsc_model):
-        pv = policy_value(wsc_model, 1.0, 0.0)
-        assert pv.value == pytest.approx(0.5 / (1 - LAM), abs=1e-7)
+        assert policy_value(wsc_model, 1.0, 0.0) == pytest.approx(0.5 / (1 - LAM), abs=1e-7)
 
     def test_monte_carlo_cross_check(self, wsc_model):
         pv = policy_value(wsc_model, 0.5, 0.0)
         mean, se = estimate_value(wsc_model, 0.5, 0.0, 200, 100_000, ReplicationStreams(2024))
-        assert abs(mean - pv.value) <= 3.9 * se
+        assert abs(mean - pv) <= 3.9 * se
 
     def test_monte_carlo_cross_check_with_death(self):
         m = StoppingModel(UniformDeteriorationKernel(), ConstantReward(0.5), LinearReward(8.0, 0.0), H_D=0.6)
         pv = policy_value(m, 0.4, 0.0)
         mean, se = estimate_value(m, 0.4, 0.0, 200, 100_000, ReplicationStreams(2025))
-        assert abs(mean - pv.value) <= 3.9 * se
+        assert abs(mean - pv) <= 3.9 * se
 
-    def test_non_convergence_flagged(self, wsc_model):
-        pv = policy_value(wsc_model, 1.0, 0.0, max_iter=3)
-        assert not pv.converged
+    def test_nonconvergence_raises(self, wsc_model, monkeypatch):
+        monkeypatch.setattr(dp, "_POLICY_MAX_ITER", 3)
+        with pytest.raises(ConvergenceError):
+            policy_value(wsc_model, 1.0, 0.0, num_nodes=129)
 
     def test_sweep_shares_grid_and_matches_single_solves(self, wsc_model):
         thetas = [0.2, 0.8, 1.0]
         swept = policy_value_sweep(wsc_model, thetas, 0.0, num_nodes=513)
         for th, res in zip(thetas, swept):
             single = policy_value(wsc_model, th, 0.0, num_nodes=513)
-            assert res.value == pytest.approx(single.value, abs=2e-6)
+            assert res == pytest.approx(single, abs=2e-6)
 
     def test_sweep_validates_its_inputs(self, wsc_model):
         with pytest.raises(DomainError):
@@ -262,6 +260,7 @@ class TestOracleDerivative:
         with pytest.raises(Exception):
             oracle_derivative(wsc_model, 0.0004, 0.0, dtheta=1e-3)
 
-    def test_nonconvergence_propagates(self, wsc_model):
+    def test_nonconvergence_propagates(self, wsc_model, monkeypatch):
+        monkeypatch.setattr(dp, "_POLICY_MAX_ITER", 2)
         with pytest.raises(ConvergenceError):
-            oracle_derivative(wsc_model, 0.5, 0.0, num_nodes=257, max_iter=2)
+            oracle_derivative(wsc_model, 0.5, 0.0, num_nodes=257)

@@ -10,9 +10,9 @@ from stopgrad.kernel import (
     DomainError,
     TransitionKernel,
     UniformDeteriorationKernel,
-    check_ifr,
     integrate_density,
 )
+from stopgrad.model import check_ifr
 
 
 @pytest.fixture(scope="module")
