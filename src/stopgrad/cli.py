@@ -58,7 +58,7 @@ def _gradient_once(cfg: ExperimentConfig, model: StoppingModel, method: str, del
         return spa_estimate(model, theta, h0, horizon, reps, est.aux_reps, streams, workers)
     if method == "fd":
         return fd_estimate(model, theta, h0, horizon, reps, delta, est.crn, streams=streams, workers=workers)
-    return ipa_estimate(model, theta, h0, horizon, reps)
+    return ipa_estimate(model, theta, reps)
 
 
 # Every subcommand runs as run_<cmd>(cfg, model, out, streams, workers, args) -> exit code.  Its
@@ -67,14 +67,14 @@ def _gradient_once(cfg: ExperimentConfig, model: StoppingModel, method: str, del
 def run_check(cfg: ExperimentConfig, model: StoppingModel, out: Path, streams: ReplicationStreams,
               workers: int, args: argparse.Namespace) -> int:
     grid = np.linspace(0.0, model.H_D, args.grid_points + 1)[:-1]
-    report = check_assumptions(model, grid)
+    results = check_assumptions(model, grid).values()
     rows = [
         (r.name, r.passed, r.vacuous, r.worst,
          "" if r.witness is None else " ".join(format_value(w) for w in r.witness), r.note)
-        for r in report
+        for r in results
     ]
     _write_csv(out / "check.csv", ["assumption", "passed", "vacuous", "worst", "witness", "note"], rows)
-    for r in report:
+    for r in results:
         status = "pass" if r.passed else "FAIL"
         extra = " (vacuous)" if r.vacuous else ""
         note = f" - {r.note}" if r.note else ""

@@ -280,20 +280,28 @@ def reward_from_spec(spec: str, H: float):
     """Build a reward function from its config string.
 
     Forms: `constant <v>`, `linear-decreasing <at_zero> <at_H>`,
-    `table <h:v> <h:v> ...` (piecewise-linear interpolation).
+    `table <h:v> <h:v> ...` (piecewise-linear interpolation).  Every value must
+    be nonnegative; each form interpolates linearly between its values, so that
+    is exactly a nonnegative reward.
     """
     toks = spec.split()
     if not toks:
         raise ConfigError([f"empty reward spec"])
     kind, args = toks[0], toks[1:]
+
+    def nonnegative(*ys):
+        if not all(y >= 0.0 for y in ys):
+            raise ConfigError([f"reward spec {spec!r}: reward values must be nonnegative"])
+        return ys
+
     if kind == "constant":
         if len(args) != 1:
             raise ConfigError([f"reward spec {spec!r}: constant takes one value"])
-        return ConstantReward(float(args[0]))
+        return ConstantReward(*nonnegative(float(args[0])))
     if kind == "linear-decreasing":
         if len(args) != 2:
             raise ConfigError([f"reward spec {spec!r}: linear-decreasing takes two values"])
-        return LinearReward(float(args[0]), float(args[1]), H)
+        return LinearReward(*nonnegative(float(args[0]), float(args[1])), H)
     if kind == "table":
         pairs = []
         for tok in args:
@@ -302,7 +310,7 @@ def reward_from_spec(spec: str, H: float):
         if len(pairs) < 2:
             raise ConfigError([f"reward spec {spec!r}: table needs at least two h:v pairs"])
         xs, ys = zip(*pairs)
-        return TabulatedReward(xs, ys)
+        return TabulatedReward(xs, nonnegative(*ys))
     raise ConfigError([f"unknown reward kind {kind!r} in {spec!r}"])
 
 
@@ -313,7 +321,6 @@ def build_model(cfg: ExperimentConfig) -> StoppingModel:
         kernel=_KERNELS[cfg.kernel.name](),
         reward_wait=reward_from_spec(m.reward_wait, m.H),
         reward_transplant=reward_from_spec(m.reward_transplant, m.H),
-        H=m.H,
         H_D=m.H_D,
         discount=m.discount,
     )

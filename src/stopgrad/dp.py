@@ -312,7 +312,7 @@ def policy_value_sweep(
     warm: np.ndarray | None = None
     for t in ths:
         warm = _policy_fixed_point(dyn, model, t, warm)
-        if model.is_dead(h0):
+        if h0 >= model.H_D:
             out.append(0.0)
         elif h0 >= t:
             out.append(float(model.transplant_reward(h0)))

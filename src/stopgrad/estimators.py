@@ -51,18 +51,14 @@ class GradEstimate:
     mean: float
     se: float
     reps: int
-    horizon: int
-    delta: float | None = None
-    crn: bool | None = None
-    aux_reps: int | None = None
 
     @classmethod
-    def from_values(cls, method: str, theta: float, values: np.ndarray, horizon: int, **meta) -> "GradEstimate":
+    def from_values(cls, method: str, theta: float, values: np.ndarray) -> "GradEstimate":
         values = np.asarray(values, dtype=float)
         reps = values.size
         mean = float(values.mean())
         se = float(values.std(ddof=1) / np.sqrt(reps)) if reps > 1 else float("nan")
-        return cls(method, float(theta), values, mean, se, reps, horizon, **meta)
+        return cls(method, float(theta), values, mean, se, reps)
 
 
 def _hazard(model: StoppingModel, theta: float, h_prev: np.ndarray) -> np.ndarray:
@@ -133,8 +129,8 @@ def spa_estimate(
     if reps < 2:
         raise ValueError("gradient estimation needs reps >= 2")
     fn = partial(_spa_block, model, theta, h0, horizon, aux_reps, streams)
-    values = np.concatenate(map_blocks(fn, block_ranges(reps, streams.block_rows), workers))
-    return GradEstimate.from_values("spa", theta, values, horizon, aux_reps=aux_reps)
+    values = np.concatenate(map_blocks(fn, block_ranges(reps), workers))
+    return GradEstimate.from_values("spa", theta, values)
 
 
 def _fd_block(
@@ -180,17 +176,11 @@ def fd_estimate(
     if reps < 2:
         raise ValueError("gradient estimation needs reps >= 2")
     fn = partial(_fd_block, model, theta, h0, horizon, delta, crn, streams)
-    values = np.concatenate(map_blocks(fn, block_ranges(reps, streams.block_rows), workers))
-    return GradEstimate.from_values("fd", theta, values, horizon, delta=delta, crn=crn)
+    values = np.concatenate(map_blocks(fn, block_ranges(reps), workers))
+    return GradEstimate.from_values("fd", theta, values)
 
 
-def ipa_estimate(
-    model: StoppingModel,
-    theta: float,
-    h0: float,
-    horizon: int,
-    reps: int,
-) -> GradEstimate:
+def ipa_estimate(model: StoppingModel, theta: float, reps: int) -> GradEstimate:
     """Pathwise derivative estimate: identically zero for this stopping problem.
 
     Holding the event sequence fixed, a threshold perturbation changes neither
@@ -204,4 +194,4 @@ def ipa_estimate(
         raise ValueError("reps must be positive")
     # The estimate is constant by construction, so its standard error is zero
     # even for a single replication.
-    return GradEstimate("ipa", float(theta), np.zeros(reps), 0.0, 0.0, reps, horizon)
+    return GradEstimate("ipa", float(theta), np.zeros(reps), 0.0, 0.0, reps)

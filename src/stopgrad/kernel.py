@@ -115,8 +115,6 @@ class UniformDeteriorationKernel(TransitionKernel):
 
 
 def _simpson(fn, a: float, b: float, panels: int) -> float:
-    if b <= a:
-        return 0.0
     x = np.linspace(a, b, 2 * panels + 1)
     y = np.asarray(fn(x), dtype=float)
     h = (b - a) / (2 * panels)
@@ -140,13 +138,10 @@ def integrate_density(
         b = kernel.H
     if b <= a:
         return 0.0
-    cuts = sorted(d for d in kernel.density_discontinuities(h_cur) if a < d < b)
+    cuts = sorted({d for d in kernel.density_discontinuities(h_cur) if a < d < b})
     edges = [a, *cuts, b]
     total = 0.0
     for p, q in zip(edges[:-1], edges[1:]):
-        width = q - p
-        if width <= 0.0:
-            continue
-        pad = _EDGE_NUDGE * width
+        pad = _EDGE_NUDGE * (q - p)
         total += _simpson(lambda x: kernel.density(x, h_cur), p + pad, q - pad, DEFAULT_PANELS)
     return total

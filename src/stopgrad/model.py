@@ -15,7 +15,6 @@ __all__ = [
     "TabulatedReward",
     "StoppingModel",
     "AssumptionResult",
-    "AssumptionReport",
     "check_assumptions",
     "check_ifr",
 ]
@@ -82,21 +81,16 @@ class StoppingModel:
     kernel: TransitionKernel
     reward_wait: RewardFn
     reward_transplant: RewardFn
-    H: float = 1.0
     H_D: float = 1.0
     discount: float = 0.97
     wait_sup: float = field(init=False, repr=False, default=0.0)
     transplant_sup: float = field(init=False, repr=False, default=0.0)
 
     def __post_init__(self):
-        if not (self.H > 0.0):
-            raise ValueError("H must be positive")
         if not (0.0 < self.H_D <= self.H):
             raise ValueError("H_D must lie in (0, H]")
         if not (0.0 < self.discount <= 1.0):
             raise ValueError("discount must lie in (0, 1]")
-        if self.kernel.H != self.H:
-            raise ValueError("kernel state space does not match the model's H")
         grid = np.linspace(0.0, self.H, 2049)
         c = np.asarray(self.reward_wait(grid), dtype=float)
         r = np.asarray(self.reward_transplant(grid), dtype=float)
@@ -106,13 +100,15 @@ class StoppingModel:
         object.__setattr__(self, "transplant_sup", float(r.max()))
 
     @property
+    def H(self) -> float:
+        """Upper end of the state space [0, H], the kernel's."""
+        return self.kernel.H
+
+    @property
     def value_bound(self) -> float:
         """Upper bound max(sup c, sup r) / (1 - discount) on any discounted value."""
         g = max(self.wait_sup, self.transplant_sup)
         return float("inf") if self.discount >= 1.0 else g / (1.0 - self.discount)
-
-    def is_dead(self, h):
-        return np.asarray(h, dtype=float) >= self.H_D if np.ndim(h) else float(h) >= self.H_D
 
     def wait_reward(self, h):
         """One-period waiting reward, zero on the death region."""
@@ -128,9 +124,7 @@ class StoppingModel:
 
     def truncation_bound(self, horizon: int) -> float:
         """Bound on the value mass discarded by truncating paths after `horizon` periods."""
-        if self.discount >= 1.0:
-            return float("inf")
-        return self.discount ** (horizon + 1) * max(self.wait_sup, self.transplant_sup) / (1.0 - self.discount)
+        return self.discount ** (horizon + 1) * self.value_bound
 
 
 @dataclass(frozen=True)
@@ -141,24 +135,6 @@ class AssumptionResult:
     worst: float = 0.0
     witness: tuple | None = None
     note: str = ""
-
-
-@dataclass(frozen=True)
-class AssumptionReport:
-    results: tuple[AssumptionResult, ...]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(r.passed for r in self.results)
-
-    def __iter__(self):
-        return iter(self.results)
-
-    def __getitem__(self, name: str) -> AssumptionResult:
-        for r in self.results:
-            if r.name == name:
-                return r
-        raise KeyError(name)
 
 
 def _monotone_worst(values: np.ndarray, direction: int) -> tuple[float, int]:
@@ -197,9 +173,10 @@ def check_ifr(kernel: TransitionKernel, grid: Sequence[float]) -> AssumptionResu
     return AssumptionResult("A3", False, worst=worst, witness=(float(g[i]), float(g[j]), float(g[j + 1])))
 
 
-def check_assumptions(model: StoppingModel, grid: Sequence[float] | None = None) -> AssumptionReport:
+def check_assumptions(model: StoppingModel, grid: Sequence[float] | None = None) -> dict[str, AssumptionResult]:
     """Numerical audit of the structural conditions behind the threshold-optimality result.
 
+    Returns the results keyed "A1" ... "A5", in that order.
     A failing entry does not block simulation or gradient estimation; it only
     means the sufficient conditions for an optimal control limit are unverified.
     The grid must lie in the living region [0, H_D).
@@ -276,4 +253,4 @@ def check_assumptions(model: StoppingModel, grid: Sequence[float] | None = None)
             k = int(np.argmax(excess))
             results.append(AssumptionResult("A5", False, worst=worst, witness=(float(g[i1[k]]), float(g[i2[k]]))))
 
-    return AssumptionReport(tuple(results))
+    return {r.name: r for r in results}

@@ -25,7 +25,8 @@ __all__ = [
     "estimate_value",
 ]
 
-DEFAULT_BLOCK_ROWS = 16384
+# Replications per block: each block's draws come from one child generator.
+_BLOCK_ROWS = 16384
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,6 @@ class ReplicationStreams:
 
     seed: int
     domain: int = 0
-    block_rows: int = DEFAULT_BLOCK_ROWS
 
     PATH = 0  # nominal path draws
     AUX = 1   # auxiliary continuation draws
@@ -51,11 +51,9 @@ class ReplicationStreams:
     def __post_init__(self):
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
-        if self.block_rows < 1:
-            raise ValueError("block_rows must be positive")
 
     def child(self, domain: int) -> "ReplicationStreams":
-        return ReplicationStreams(self.seed, domain, self.block_rows)
+        return ReplicationStreams(self.seed, domain)
 
     def _block_generator(self, purpose: int, block: int) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.domain, purpose, block))
@@ -73,9 +71,9 @@ class ReplicationStreams:
             raise ValueError("purpose must lie in [0, 16)")
         if rep_lo < 0 or rep_hi < rep_lo or ncols < 0:
             raise ValueError("invalid replication range")
-        if rep_lo % self.block_rows or rep_hi - rep_lo > self.block_rows:
-            raise ValueError("the replication range must be one of block_ranges(reps, block_rows)")
-        return self._block_generator(purpose, rep_lo // self.block_rows).random((rep_hi - rep_lo, ncols))
+        if rep_lo % _BLOCK_ROWS or rep_hi - rep_lo > _BLOCK_ROWS:
+            raise ValueError("the replication range must be one of block_ranges(reps)")
+        return self._block_generator(purpose, rep_lo // _BLOCK_ROWS).random((rep_hi - rep_lo, ncols))
 
 
 @dataclass
@@ -124,8 +122,7 @@ def _paths_from_uniforms(model: StoppingModel, theta: float, h0, horizon, U: np.
     disc = np.full(rows, disc0, dtype=float)
     value = np.full(rows, value0, dtype=float)
     h_prev = np.full(rows, np.nan)
-    stop_index = np.full(rows, -1, dtype=np.int64)
-    dead_cross_index = np.full(rows, -1, dtype=np.int64)
+    cross_index = np.full(rows, -1, dtype=np.int64)
     disc_at_stop = np.zeros(rows)
     died = np.zeros(rows, dtype=bool)
     active = np.flatnonzero(last >= 0)
@@ -136,7 +133,7 @@ def _paths_from_uniforms(model: StoppingModel, theta: float, h0, horizon, U: np.
         if dead.any():
             died[active[dead]] = True
             dead_cross = active[dead & (hk >= theta)]
-            dead_cross_index[dead_cross] = k
+            cross_index[dead_cross] = k
             disc_at_stop[dead_cross] = disc[dead_cross]
         # np.compress selects by mask several times faster than boolean indexing.
         live = np.compress(~dead, active)
@@ -144,7 +141,7 @@ def _paths_from_uniforms(model: StoppingModel, theta: float, h0, horizon, U: np.
         ic = np.compress(cross, live)
         if ic.size:
             value[ic] += disc[ic] * model.transplant_reward(h[ic])
-            stop_index[ic] = k
+            cross_index[ic] = k
             disc_at_stop[ic] = disc[ic]
         stay = np.compress(~cross, live)
         if stay.size:
@@ -155,13 +152,13 @@ def _paths_from_uniforms(model: StoppingModel, theta: float, h0, horizon, U: np.
             h[active] = model.kernel.ppf(U[active, k], h[active])
             disc[active] *= model.discount
         k += 1
-    # A row either transplants or dies at its crossing, so the two indices merge.
-    cross_index = np.maximum(dead_cross_index, stop_index)
+    # A row either transplants or dies at its crossing.
+    stop_index = np.where(died, -1, cross_index)
     return PathBatch(value, stop_index, cross_index, died, h_prev, disc_at_stop)
 
 
-def block_ranges(reps: int, block_rows: int) -> list[tuple[int, int]]:
-    return [(lo, min(reps, lo + block_rows)) for lo in range(0, reps, block_rows)]
+def block_ranges(reps: int) -> list[tuple[int, int]]:
+    return [(lo, min(reps, lo + _BLOCK_ROWS)) for lo in range(0, reps, _BLOCK_ROWS)]
 
 
 def map_blocks(fn: Callable, ranges: Sequence[tuple[int, int]], workers: int = 1) -> list:
@@ -192,7 +189,7 @@ def sample_paths(
     if reps < 1:
         raise ValueError("reps must be positive")
     fn = partial(_path_block, model, theta, h0, horizon, streams)
-    parts = map_blocks(fn, block_ranges(reps, streams.block_rows), workers)
+    parts = map_blocks(fn, block_ranges(reps), workers)
     return PathBatch(*(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(PathBatch)))
 
 

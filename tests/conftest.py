@@ -47,11 +47,6 @@ def wsc_model() -> StoppingModel:
     return build_model(load_config("wsc-example"))
 
 
-@pytest.fixture()
-def streams():
-    return lambda seed, **kw: ReplicationStreams(seed, **kw)
-
-
 def run_cli(args, cwd: Path) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")

@@ -13,6 +13,14 @@ floats, and non-convergence raises `ConvergenceError`), the `IfrReport` record
 knobs: `tol`/`max_iter` of `policy_value`, `policy_value_sweep` and
 `oracle_derivative`, and `tol` of `extract_control_limit`, `check_assumptions`
 and `check_ifr`.  Each is now a private module constant.
+
+Also removed on purpose: the `AssumptionReport` wrapper (`check_assumptions`
+returns a dict of `AssumptionResult` keyed "A1" ... "A5"), `StoppingModel.is_dead`,
+the `H` field of `StoppingModel` (`H` is a read-only property returning the
+kernel's), the `block_rows` field of `ReplicationStreams` and the public
+`DEFAULT_BLOCK_ROWS` (blocks are a fixed 16,384 replications), the `GradEstimate`
+fields `horizon`, `delta`, `crn` and `aux_reps`, and the `h0` and `horizon`
+parameters of `ipa_estimate`.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ MODULES = {
     "stopgrad.sim": {"PathBatch", "ReplicationStreams", "block_ranges", "estimate_value", "map_blocks",
                      "sample_paths"},
     "stopgrad.estimators": {"DegenerateHazardError", "GradEstimate", "fd_estimate", "ipa_estimate", "spa_estimate"},
-    "stopgrad.model": {"AssumptionReport", "AssumptionResult", "ConstantReward", "LinearReward", "StoppingModel",
+    "stopgrad.model": {"AssumptionResult", "ConstantReward", "LinearReward", "StoppingModel",
                        "TabulatedReward", "check_assumptions", "check_ifr"},
     "stopgrad.dp": {"ControlLimitResult", "ConvergenceError", "GridDynamics", "GridValueFunction",
                     "extract_control_limit", "make_grid", "oracle_derivative", "policy_value", "policy_value_sweep",
@@ -39,21 +47,21 @@ MODULES = {
 
 # Public attributes of the classes that lost test-only methods.
 CLASSES = {
-    "ReplicationStreams": {"ALT", "AUX", "PATH", "block_rows", "child", "domain", "uniform_rows"},
+    "ReplicationStreams": {"ALT", "AUX", "PATH", "child", "domain", "uniform_rows"},
     "TransitionKernel": {"H", "density", "density_discontinuities", "point_masses", "ppf", "tail_mass"},
-    "StoppingModel": {"H", "H_D", "discount", "is_dead", "transplant_reward", "transplant_sup", "truncation_bound",
+    "StoppingModel": {"H", "H_D", "discount", "transplant_reward", "transplant_sup", "truncation_bound",
                       "value_bound", "wait_reward", "wait_sup"},
 }
 
 # Parameter names of the public functions, so that a deleted knob cannot come back unnoticed.
 SIGNATURES = {
-    "stopgrad.sim.block_ranges": ("reps", "block_rows"),
+    "stopgrad.sim.block_ranges": ("reps",),
     "stopgrad.sim.estimate_value": ("model", "theta", "h0", "horizon", "reps", "streams", "workers"),
     "stopgrad.sim.map_blocks": ("fn", "ranges", "workers"),
     "stopgrad.sim.sample_paths": ("model", "theta", "h0", "horizon", "reps", "streams", "workers"),
     "stopgrad.estimators.fd_estimate": ("model", "theta", "h0", "horizon", "reps", "delta", "crn", "streams",
                                         "workers"),
-    "stopgrad.estimators.ipa_estimate": ("model", "theta", "h0", "horizon", "reps"),
+    "stopgrad.estimators.ipa_estimate": ("model", "theta", "reps"),
     "stopgrad.estimators.spa_estimate": ("model", "theta", "h0", "horizon", "reps", "aux_reps", "streams",
                                          "workers"),
     "stopgrad.dp.extract_control_limit": ("model", "V"),

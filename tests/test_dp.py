@@ -201,6 +201,10 @@ class TestPolicyValue:
     def test_start_above_threshold(self, wsc_model):
         assert policy_value(wsc_model, 0.5, 0.6, num_nodes=129) == pytest.approx(3.2)
 
+    def test_start_in_death_region_is_worth_zero(self):
+        m = StoppingModel(UniformDeteriorationKernel(), ConstantReward(0.5), LinearReward(8.0, 0.0), H_D=0.6)
+        assert policy_value(m, 0.8, 0.7, num_nodes=129) == 0.0
+
     @pytest.mark.parametrize("theta", [0.2, 0.5, 0.8])
     def test_matches_closed_form(self, wsc_model, theta):
         assert policy_value(wsc_model, theta, 0.0) == pytest.approx(value_exact(theta, LAM), abs=5e-6)

@@ -44,7 +44,7 @@ class FrozenKernel(TransitionKernel):
 class TestGradEstimate:
     def test_summary_invariants(self):
         vals = np.array([1.0, 3.0, 5.0, 7.0])
-        g = GradEstimate.from_values("spa", 0.5, vals, horizon=10)
+        g = GradEstimate.from_values("spa", 0.5, vals)
         assert g.mean == pytest.approx(vals.mean())
         assert g.se == pytest.approx(vals.std(ddof=1) / 2.0)
         assert g.reps == 4 and g.values.size == 4
@@ -141,9 +141,9 @@ class TestSpaBatch:
         return out
 
     def test_deterministic_and_worker_invariant(self, wsc_model):
-        s = ReplicationStreams(2718, block_rows=512)
-        a = spa_estimate(wsc_model, 0.5, 0.0, 200, 4000, 1, s, workers=1)
-        b = spa_estimate(wsc_model, 0.5, 0.0, 200, 4000, 1, s, workers=2)
+        s = ReplicationStreams(2718)
+        a = spa_estimate(wsc_model, 0.5, 0.0, 200, 20_000, 1, s, workers=1)
+        b = spa_estimate(wsc_model, 0.5, 0.0, 200, 20_000, 1, s, workers=2)
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_more_auxiliary_subpaths_cut_variance(self, wsc_model):
@@ -199,17 +199,17 @@ class TestFiniteDifferences:
 
     def test_metadata(self, wsc_model):
         est = fd_estimate(wsc_model, 0.5, 0.0, 50, 16, delta=0.01, crn=False, streams=ReplicationStreams(1))
-        assert est.method == "fd" and est.delta == 0.01 and est.crn is False and est.reps == 16
+        assert est.method == "fd" and est.theta == 0.5 and est.reps == 16
 
 
 class TestIpa:
     def test_identically_zero(self, wsc_model):
-        est = ipa_estimate(wsc_model, 0.5, 0.0, 200, 1000)
+        est = ipa_estimate(wsc_model, 0.5, 1000)
         assert est.mean == 0.0 and est.se == 0.0
         assert np.all(est.values == 0.0)
 
     def test_single_replication(self, wsc_model):
-        est = ipa_estimate(wsc_model, 0.5, 0.0, 200, 1)
+        est = ipa_estimate(wsc_model, 0.5, 1)
         assert est.mean == 0.0 and est.se == 0.0
 
 

@@ -112,9 +112,20 @@ class TestRewardForms:
 class TestAssumptions:
     def test_wsc_example_all_pass(self, wsc_model):
         report = check_assumptions(wsc_model)
-        assert report.all_passed
+        assert all(r.passed for r in report.values())
         assert not report["A1"].vacuous
         assert report["A4"].vacuous and report["A5"].vacuous
+
+    def test_frozen_kernel_with_interior_death_passes_all(self):
+        # A point mass at the current state never moves mass across H_D, so the
+        # band (A4) and death-risk (A5) audits hold without being vacuous.
+        from test_estimators import FrozenKernel
+
+        m = StoppingModel(FrozenKernel(), ConstantReward(0.5), ConstantReward(1.0), H_D=0.9)
+        report = check_assumptions(m)
+        assert list(report) == ["A1", "A2", "A3", "A4", "A5"]
+        for r in report.values():
+            assert r.passed and not r.vacuous, r
 
     def test_increasing_transplant_reward_fails_a1(self):
         m = StoppingModel(UniformDeteriorationKernel(), ConstantReward(0.5), LinearReward(0.0, 8.0))

@@ -27,16 +27,17 @@ class TestReplicationStreams:
         assert not np.array_equal(a[0], a[1])
 
     def test_only_block_ranges_are_served(self, wsc_model):
-        s = ReplicationStreams(123, block_rows=64)
-        for lo, hi in ((37, 60), (60, 70), (0, 65)):
+        B = sim._BLOCK_ROWS
+        s = ReplicationStreams(123)
+        for lo, hi in ((37, 60), (B - 4, B + 6), (0, B + 1)):
             with pytest.raises(ValueError, match="block_ranges"):
                 s.uniform_rows(0, lo, hi, 9)
-        np.testing.assert_array_equal(s.uniform_rows(0, 128, 150, 9), s.uniform_rows(0, 128, 192, 9)[:22])
+        np.testing.assert_array_equal(s.uniform_rows(0, 2 * B, 2 * B + 22, 9), s.uniform_rows(0, 2 * B, 3 * B, 9)[:22])
         # A short final block draws the first rows of the full block.
-        short = sample_paths(wsc_model, 0.5, 0.0, 200, 1000, ReplicationStreams(29, block_rows=256))
-        long = sample_paths(wsc_model, 0.5, 0.0, 200, 5000, ReplicationStreams(29, block_rows=256))
+        short = sample_paths(wsc_model, 0.5, 0.0, 200, B + 1000, ReplicationStreams(29))
+        long = sample_paths(wsc_model, 0.5, 0.0, 200, 2 * B, ReplicationStreams(29))
         for f in ("value", "stop_index", "cross_index", "died", "h_prev", "disc_at_stop"):
-            np.testing.assert_array_equal(getattr(short, f), getattr(long, f)[:1000])
+            np.testing.assert_array_equal(getattr(short, f), getattr(long, f)[:B + 1000])
 
     def test_purposes_and_domains_are_independent(self):
         s = ReplicationStreams(123)
@@ -217,9 +218,9 @@ class TestEstimateValue:
         assert np.unique(batch.value).size > 32
 
     def test_deterministic_and_worker_invariant(self, wsc_model):
-        s = ReplicationStreams(21, block_rows=1024)
-        a = sample_paths(wsc_model, 0.5, 0.0, 200, 5000, s, workers=1)
-        b = sample_paths(wsc_model, 0.5, 0.0, 200, 5000, s, workers=2)
+        s = ReplicationStreams(21)
+        a = sample_paths(wsc_model, 0.5, 0.0, 200, 20_000, s, workers=1)
+        b = sample_paths(wsc_model, 0.5, 0.0, 200, 20_000, s, workers=2)
         np.testing.assert_array_equal(a.value, b.value)
         np.testing.assert_array_equal(a.stop_index, b.stop_index)
 
