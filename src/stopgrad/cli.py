@@ -45,6 +45,9 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 def _resolve_theta(cfg: ExperimentConfig, model: StoppingModel) -> float:
     if cfg.policy.theta == "solve":
         V = dp.value_iterate(model)
+        if not V.converged:
+            raise dp.ConvergenceError(f"policy.theta = solve: value iteration did not converge in {V.iterations} "
+                                      f"iterations (residual {V.residual:.3e})")
         res = dp.extract_control_limit(model, V)
         print(f"policy.theta = solve -> using control limit {res.theta:.6g} from value iteration")
         return res.theta
@@ -269,7 +272,8 @@ def main(argv=None) -> int:
             print(f"config error: {msg}", file=sys.stderr)
         return EXIT_VALIDATION
 
-    # ConfigError and the library's DomainError are both ValueErrors: bad input.
+    # ConfigError and the library's DomainError are both ValueErrors: bad input.  A solver that
+    # runs out of iterations exits 3.
     try:
         model = build_model(cfg)
         workers = cfg.run.workers if cfg.run.workers > 0 else (os.cpu_count() or 1)
@@ -280,6 +284,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except dp.ConvergenceError as exc:
+        print(f"not converged: {exc}", file=sys.stderr)
+        return EXIT_NONCONVERGENCE
 
 
 if __name__ == "__main__":

@@ -25,7 +25,6 @@ __all__ = [
 ]
 
 DEFAULT_NODES = 1025   # 2^10 + 1
-ORACLE_NODES = 4097    # 2^12 + 1
 
 _EDGE_NUDGE = 1e-9
 
@@ -38,7 +37,7 @@ _POLICY_MAX_ITER = 50_000
 _CONTROL_TOL = 1e-8
 
 # Cells whose density points are evaluated in one kernel call while building
-# the weights; keeps the temporaries to a few MB at ORACLE_NODES.
+# the weights; keeps the temporaries to a few MB on fine grids.
 _BLOCK_CELLS = 16
 
 
@@ -61,13 +60,11 @@ class GridDynamics:
 
     Row i integrates f(.|x_i) against piecewise-linear functions over the living
     region [0, H_D], with one-sided evaluation at declared density jumps, plus
-    any point masses.  Every declared jump inside the living region must be a
-    grid node; the constructor raises ValueError otherwise.  Because grid values
-    may represent one-sided limits at discontinuity nodes (the policy threshold,
-    the death boundary), the operator is applied as
-    `continuation(v_right, v_left)`: `v_right[j]` is the value just above node j
-    and `v_left[j]` the value just below; they coincide wherever the function is
-    continuous.
+    any point masses, which enter as linear-interpolation weights on the two
+    nodes of their cell.  Every declared jump inside the living region must be
+    a grid node; the constructor raises ValueError otherwise.  A value function
+    with a jump at node k (the policy threshold) stores its right limit in v[k]
+    and is applied as `continuation(v) + (left - v[k]) * _left_limit_col(k)`.
     """
 
     def __init__(self, model: StoppingModel, nodes: np.ndarray):
@@ -91,7 +88,6 @@ class GridDynamics:
             if off:
                 raise ValueError(f"the density from state {h!r} jumps at {off[0]!r}, inside a living grid cell; "
                                  "every density jump must fall on a grid node")
-        self._wr_cache: dict[int, np.ndarray] = {}
         self.W = np.zeros((n, n))
         living = self._n_cells + 1  # the living rows are the prefix x <= H_D
         for j0 in range(0, self._n_cells, _BLOCK_CELLS):
@@ -99,16 +95,18 @@ class GridDynamics:
             wl, wr = self._cell_weights(j0, j1)
             self.W[:living, j0:j1] += wl
             self.W[:living, j0 + 1 : j1 + 1] += wr
-        rows, locs, masses = [], [], []
-        for i in np.nonzero(self.alive)[0]:
-            for loc, mass in model.kernel.point_masses(float(nodes[i])):
-                if loc <= model.H_D:
-                    rows.append(i)
-                    locs.append(loc)
-                    masses.append(mass)
-        self._atom_rows = np.asarray(rows, dtype=np.intp)
-        self._atom_locs = np.asarray(locs, dtype=float)
-        self._atom_masses = np.asarray(masses, dtype=float)
+        # A point mass at loc in (x_j, x_{j+1}], or at x_0 for j = 0, weighs on the
+        # two ends of cell j by linear interpolation.
+        atoms = [(i, loc, mass) for i in range(living)
+                 for loc, mass in model.kernel.point_masses(float(nodes[i])) if loc <= model.H_D]
+        rows, locs, masses = np.array(atoms, dtype=float).reshape(-1, 3).T
+        self._atom_rows = rows.astype(np.intp)
+        self._atom_cells = np.maximum(np.searchsorted(nodes, locs) - 1, 0)
+        lo, hi = nodes[self._atom_cells], nodes[self._atom_cells + 1]
+        t = (locs - lo) / (hi - lo)
+        self._atom_right = masses * t
+        np.add.at(self.W, (self._atom_rows, self._atom_cells), masses * (1.0 - t))
+        np.add.at(self.W, (self._atom_rows, self._atom_cells + 1), self._atom_right)
 
     def _cell_weights(self, j0: int, j1: int) -> tuple[np.ndarray, np.ndarray]:
         """Weights of cells [x_j, x_{j+1}], j0 <= j < j1, onto their two endpoint
@@ -124,27 +122,20 @@ class GridDynamics:
         wr = dx / 6.0 * (2.0 * f[:, :, 1] + f[:, :, 2])
         return wl, wr
 
-    def _right_col(self, k: int) -> np.ndarray:
-        """Weight column of node k in its role as the right endpoint of cell k-1."""
-        if k not in self._wr_cache:
-            col = np.zeros(self.nodes.size)
-            if k > 0:
-                col[: self._n_cells + 1] = self._cell_weights(k - 1, k)[1][:, 0]
-            self._wr_cache[k] = col
-        return self._wr_cache[k]
+    def _left_limit_col(self, k: int) -> np.ndarray:
+        """Weight column of node k as the right end of cell k-1, density and point
+        masses alike: the weights that read the left limit of a jump at node k.
+        Zero for the first node and for nodes beyond H_D."""
+        col = np.zeros(self.nodes.size)
+        if 0 < k <= self._n_cells:
+            col[: self._n_cells + 1] = self._cell_weights(k - 1, k)[1][:, 0]
+            in_cell = self._atom_cells == k - 1
+            np.add.at(col, self._atom_rows[in_cell], self._atom_right[in_cell])
+        return col
 
-    def continuation(self, v_right: np.ndarray, v_left: np.ndarray | None = None) -> np.ndarray:
+    def continuation(self, v: np.ndarray) -> np.ndarray:
         """E[v(h') | h = x_i] for every node, integrating over the living region."""
-        cont = self.W @ v_right
-        if v_left is not None and v_left is not v_right:
-            for k in np.nonzero(v_left != v_right)[0]:
-                cont += (v_left[k] - v_right[k]) * self._right_col(int(k))
-        else:
-            v_left = v_right
-        if self._atom_rows.size:
-            vals = np.interp(self._atom_locs, self.nodes, v_left)
-            np.add.at(cont, self._atom_rows, self._atom_masses * vals)
-        return cont
+        return self.W @ v
 
 
 @dataclass
@@ -243,17 +234,13 @@ def extract_control_limit(model: StoppingModel, V: GridValueFunction) -> Control
     return ControlLimitResult(theta_star, holes.size == 0, tuple(float(V.nodes[k]) for k in holes[:10]))
 
 
-def _policy_fixed_point(
-    dyn: GridDynamics,
-    model: StoppingModel,
-    theta: float,
-    warm: np.ndarray | None = None,
-) -> np.ndarray:
-    """Solve the fixed point of the threshold policy on the grid.
+def _policy_fixed_point(dyn: GridDynamics, model: StoppingModel, theta: float) -> np.ndarray:
+    """Solve the fixed point of the threshold policy on the grid, starting from
+    the transplant values.
 
     Returns the array of left-limit values at the nodes (death nodes zero),
-    which is the function used both for integration and for reporting values
-    below the threshold.  Raises ConvergenceError if the sweeps run out.
+    which is the function used for reporting values below the threshold.
+    Raises ConvergenceError if the sweeps run out.
     """
     x = dyn.nodes
     lam = model.discount
@@ -262,13 +249,12 @@ def _policy_fixed_point(
     left_wait = alive & (x <= theta)
     right_wait = alive & (x < theta)
     base = np.where(alive, r, 0.0)
-    vl = base.copy()
-    if warm is not None:
-        vl[left_wait] = warm[left_wait]
-    vr = np.where(right_wait, vl, base)
+    # At the theta node the left limit (wait) and the right limit (transplant) differ.
+    k = int(np.searchsorted(x, theta))
+    col = dyn._left_limit_col(k)
+    vl = vr = base
     for _ in range(_POLICY_MAX_ITER):
-        cont = dyn.continuation(vr, vl)
-        new_wait = c + lam * cont
+        new_wait = c + lam * (dyn.continuation(vr) + (vl[k] - vr[k]) * col)
         residual = float(np.abs(new_wait[left_wait] - vl[left_wait]).max()) if left_wait.any() else 0.0
         vl = np.where(left_wait, new_wait, base)
         vr = np.where(right_wait, new_wait, base)
@@ -298,7 +284,7 @@ def policy_value_sweep(
     h0: float,
     num_nodes: int = DEFAULT_NODES,
 ) -> list[float]:
-    """Policy values over a list of thresholds on one shared grid (warm-started).
+    """Policy values over a list of thresholds on one shared grid.
 
     Raises ConvergenceError if policy evaluation does not converge at some threshold.
     """
@@ -309,15 +295,14 @@ def policy_value_sweep(
         raise ValueError("infinite-horizon policy evaluation requires discount < 1")
     dyn = GridDynamics(model, make_grid(model, num_nodes, extra=ths))
     out: list[float] = []
-    warm: np.ndarray | None = None
     for t in ths:
-        warm = _policy_fixed_point(dyn, model, t, warm)
+        vl = _policy_fixed_point(dyn, model, t)
         if h0 >= model.H_D:
             out.append(0.0)
         elif h0 >= t:
             out.append(float(model.transplant_reward(h0)))
         else:
-            out.append(float(np.interp(h0, dyn.nodes, warm)))
+            out.append(float(np.interp(h0, dyn.nodes, vl)))
     return out
 
 
@@ -326,7 +311,7 @@ def oracle_derivative(
     theta: float,
     h0: float,
     dtheta: float = 1e-3,
-    num_nodes: int = ORACLE_NODES,
+    num_nodes: int = DEFAULT_NODES,
 ) -> float:
     """Deterministic central difference of the policy value in the threshold.
 

@@ -26,9 +26,19 @@ _NORM_TOL = 1e-8
 _AUDIT_TOL = 1e-9
 
 
+def _check_nonnegative(*ys: float) -> None:
+    """Reject negative or NaN reward values.  Each reward form below interpolates
+    linearly between its values, so the check is exact."""
+    if not all(y >= 0.0 for y in ys):
+        raise ValueError("reward values must be nonnegative")
+
+
 @dataclass(frozen=True)
 class ConstantReward:
     value: float
+
+    def __post_init__(self):
+        _check_nonnegative(self.value)
 
     def __call__(self, h):
         return np.full_like(np.asarray(h, dtype=float), self.value) if np.ndim(h) else float(self.value)
@@ -41,6 +51,9 @@ class LinearReward:
     at_zero: float
     at_H: float
     H: float = 1.0
+
+    def __post_init__(self):
+        _check_nonnegative(self.at_zero, self.at_H)
 
     def __call__(self, h):
         out = self.at_zero + (self.at_H - self.at_zero) * np.asarray(h, dtype=float) / self.H
@@ -59,6 +72,7 @@ class TabulatedReward:
             raise ValueError("tabulated reward needs at least two (x, y) pairs")
         if np.any(np.diff(self.xs) <= 0.0):
             raise ValueError("tabulated reward abscissae must be strictly increasing")
+        _check_nonnegative(*self.ys)
 
     def __call__(self, h):
         out = np.interp(np.asarray(h, dtype=float), self.xs, self.ys)
@@ -91,6 +105,7 @@ class StoppingModel:
             raise ValueError("H_D must lie in (0, H]")
         if not (0.0 < self.discount <= 1.0):
             raise ValueError("discount must lie in (0, 1]")
+        # The reward classes check their own values exactly; other callables only on this grid.
         grid = np.linspace(0.0, self.H, 2049)
         c = np.asarray(self.reward_wait(grid), dtype=float)
         r = np.asarray(self.reward_transplant(grid), dtype=float)
@@ -213,7 +228,7 @@ def check_assumptions(model: StoppingModel, grid: Sequence[float] | None = None)
         worst_norm = max(worst_norm, abs(mass - 1.0))
     dens = np.asarray(model.kernel.density(g[None, :], g[:, None]))
     grid_bound = float(dens.max())
-    a2_ok = worst_norm <= _NORM_TOL and np.isfinite(grid_bound)
+    a2_ok = worst_norm <= _NORM_TOL and bool(np.isfinite(grid_bound))
     results.append(AssumptionResult("A2", a2_ok, worst=worst_norm, note=f"grid density bound {grid_bound:.6g}"))
 
     # A3: increasing failure rate of the kernel.

@@ -21,6 +21,12 @@ kernel's), the `block_rows` field of `ReplicationStreams` and the public
 `DEFAULT_BLOCK_ROWS` (blocks are a fixed 16,384 replications), the `GradEstimate`
 fields `horizon`, `delta`, `crn` and `aux_reps`, and the `h0` and `horizon`
 parameters of `ipa_estimate`.
+
+Also removed on purpose: `dp.ORACLE_NODES` (`oracle_derivative` uses the one
+grid default `DEFAULT_NODES`), the warm start of `policy_value_sweep` (every
+threshold starts from the transplant values), and the `v_left` argument of
+`GridDynamics.continuation` (the jump at the threshold node enters the policy
+sweep through the private `_left_limit_col`).
 """
 
 from __future__ import annotations
@@ -105,3 +111,11 @@ def test_function_signatures_are_pinned():
              for n, v in vars(importlib.import_module(m)).items()
              if not n.startswith("_") and inspect.isfunction(v) and v.__module__ == m}
     assert {name: tuple(inspect.signature(fn).parameters) for name, fn in funcs.items()} == SIGNATURES
+
+
+def test_dp_has_one_grid_default_and_a_one_vector_continuation():
+    from stopgrad import dp
+
+    assert not hasattr(dp, "ORACLE_NODES")
+    assert inspect.signature(dp.oracle_derivative).parameters["num_nodes"].default == dp.DEFAULT_NODES
+    assert tuple(inspect.signature(dp.GridDynamics.continuation).parameters) == ("self", "v")

@@ -306,6 +306,20 @@ class TestCliSubcommands:
         assert res.returncode == 0, res.stderr
         assert "using control limit 1" in res.stdout
 
+    def test_unconverged_solve_policy_exit_code(self, tmp_path, monkeypatch, capsys):
+        # A control limit that value iteration did not reach is not used: the run
+        # exits 3 like `solve` on the same model, before writing any artifact.
+        import functools
+
+        from stopgrad import cli, dp
+
+        monkeypatch.setattr(dp, "value_iterate", functools.partial(dp.value_iterate, max_iter=5))
+        ini = tmp_path / "slow.ini"
+        ini.write_text(SMALL_INI.replace("discount = 0.97", "discount = 0.9999") + "\n[policy]\ntheta = solve\n")
+        assert cli.main(["--config", str(ini), "--out", str(tmp_path), "simulate"]) == 3
+        assert not (tmp_path / "simulate.csv").exists()
+        assert "did not converge in 5 iterations" in capsys.readouterr().err
+
     def test_theta_flag_overrides_solve_policy(self, tmp_path):
         (tmp_path / "solve.ini").write_text(SMALL_INI + "\n[policy]\ntheta = solve\n")
         res = run_cli(["--config", "solve.ini", "--out", ".", "simulate", "--theta", "0.4"], tmp_path)

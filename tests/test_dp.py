@@ -78,11 +78,11 @@ class TestGridDynamics:
         theta = 0.5
         nodes = make_grid(wsc_model, 1025)
         assert theta in nodes
+        k = int(np.searchsorted(nodes, theta))
         dyn = GridDynamics(wsc_model, nodes)
-        v_right = (nodes >= theta).astype(float)
-        v_left = (nodes > theta).astype(float)
+        v = (nodes >= theta).astype(float)
         x = nodes[nodes < 1.0]
-        cont = dyn.continuation(v_right, v_left)[nodes < 1.0]
+        cont = (dyn.continuation(v) + (0.0 - v[k]) * dyn._left_limit_col(k))[nodes < 1.0]
         np.testing.assert_allclose(cont, np.minimum(1.0, (1.0 - theta) / (1.0 - x)), rtol=0, atol=1e-12)
 
     def test_weights_do_not_depend_on_block_size(self, monkeypatch):
@@ -94,7 +94,7 @@ class TestGridDynamics:
             monkeypatch.setattr(dp, "_BLOCK_CELLS", block)
             dyn = GridDynamics(m, nodes)
             assert np.array_equal(dyn.W, ref.W)
-            assert np.array_equal(dyn._right_col(k), ref._right_col(k))
+            assert np.array_equal(dyn._left_limit_col(k), ref._left_limit_col(k))
 
     def test_grid_requires_death_threshold_node(self, wsc_model):
         with pytest.raises(ValueError):
@@ -234,6 +234,18 @@ class TestPolicyValue:
         for th, res in zip(thetas, swept):
             single = policy_value(wsc_model, th, 0.0, num_nodes=513)
             assert res == pytest.approx(single, abs=2e-6)
+
+    @pytest.mark.parametrize("H_D", [1.0, 0.9])
+    def test_point_mass_on_the_threshold_node_reads_the_left_limit(self, H_D):
+        # The frozen state waits forever below theta, worth c / (1 - discount); just
+        # below the theta node the value interpolates towards that node's left limit,
+        # which the row's point mass on the node itself must read.
+        from test_estimators import FrozenKernel
+
+        m = StoppingModel(FrozenKernel(), ConstantReward(0.5), ConstantReward(1.0), H_D=H_D)
+        for h0 in (0.0, 0.3, 0.5 - 1e-9):
+            for v in policy_value_sweep(m, (0.5, 0.85), h0, num_nodes=257):
+                assert v == pytest.approx(0.5 / (1 - LAM), abs=1e-7)
 
     def test_sweep_validates_its_inputs(self, wsc_model):
         with pytest.raises(DomainError):

@@ -46,6 +46,73 @@ class ImprovingKernel(TransitionKernel):
         return (1.0 - h_cur,) if h_cur > 0.0 else ()
 
 
+class ResetKernel(TransitionKernel):
+    """With probability p the next state is Uniform[0, 1], otherwise Uniform[h, 1].
+
+    Health can improve, so a path that waits at theta can fall back below it.
+    The density p + (1 - p)/(1 - h) on [h, 1] and p below h jumps only at h;
+    from h = 1 the Uniform[h, 1] branch is a point mass (1, 1 - p).  The kernel
+    is IFR.
+    """
+
+    H = 1.0
+
+    def __init__(self, p: float):
+        self.p = p
+
+    def density(self, h_next, h_cur):
+        hn, hc = np.asarray(h_next, dtype=float), np.asarray(h_cur, dtype=float)
+        moved = np.where(hc < 1.0, (1.0 - self.p) / (1.0 - np.where(hc < 1.0, hc, 0.0)), 0.0)
+        out = self.p + np.where(hn >= hc, moved, 0.0)
+        return float(out) if out.ndim == 0 else out
+
+    def tail_mass(self, a, h_cur):
+        aa, hc = np.asarray(a, dtype=float), np.asarray(h_cur, dtype=float)
+        safe = np.where(hc < 1.0, hc, 0.0)
+        moved = np.where(hc < 1.0, np.minimum(1.0, (1.0 - aa) / (1.0 - safe)), 1.0)
+        out = self.p * (1.0 - aa) + (1.0 - self.p) * moved
+        return float(out) if out.ndim == 0 else out
+
+    def ppf(self, u, h_cur):
+        # CDF p x below h and p x + (1 - p)(x - h)/(1 - h) from h on; u > p h inverts the second piece.
+        uu, hc = np.asarray(u, dtype=float), np.asarray(h_cur, dtype=float)
+        out = np.where(uu <= self.p * hc, uu / self.p, (uu * (1.0 - hc) + (1.0 - self.p) * hc) / (1.0 - self.p * hc))
+        return float(out) if out.ndim == 0 else out
+
+    def density_discontinuities(self, h_cur):
+        return (float(h_cur),) if h_cur < 1.0 else ()
+
+    def point_masses(self, h_cur):
+        return ((1.0, 1.0 - self.p),) if h_cur >= 1.0 else ()
+
+
+class TestResetKernel:
+    @pytest.mark.parametrize("p", [0.2, 0.5])
+    def test_ppf_inverts_tail_mass(self, p):
+        k = ResetKernel(p)
+        u = np.linspace(0.0, 1.0, 201)[:-1]
+        for h in (0.0, 0.3, 0.7, 1.0):
+            x = k.ppf(u, h)
+            assert np.all((0.0 <= x) & (x <= 1.0)) and np.all(np.diff(x) >= 0.0)
+            below_atom = x < 1.0  # from h = 1 the draws u >= p all land on the atom at 1
+            np.testing.assert_allclose(k.tail_mass(x, h)[below_atom], 1.0 - u[below_atom], rtol=0, atol=1e-12)
+        assert k.ppf(0.5 * (1.0 + p), 1.0) == 1.0
+
+    def test_audits_a2_and_a3_pass(self):
+        from stopgrad.model import ConstantReward, LinearReward, StoppingModel, check_assumptions
+
+        for H_D in (1.0, 0.7):
+            m = StoppingModel(ResetKernel(0.3), ConstantReward(0.5), LinearReward(8.0, 0.0), H_D=H_D)
+            report = check_assumptions(m)
+            assert report["A2"].passed and report["A3"].passed, report
+
+    def test_density_matches_tail_mass(self):
+        k = ResetKernel(0.3)
+        for h in (0.0, 0.4):
+            for a in (0.1, 0.4, 0.8):
+                assert integrate_density(k, h, a, 1.0) == pytest.approx(k.tail_mass(a, h), abs=1e-8)
+
+
 class TestDensity:
     def test_paper_value(self, uk):
         assert uk.density(0.7, 0.5) == pytest.approx(2.0)

@@ -108,6 +108,17 @@ class TestRewardForms:
         with pytest.raises(ValueError):
             TabulatedReward((0.0, 0.0), (1.0, 2.0))
 
+    @pytest.mark.parametrize("make", [
+        lambda: TabulatedReward((0.0, 1e-4, 2e-4, 1.0), (1.0, -1.0, 1.0, 1.0)),
+        lambda: ConstantReward(-1.0),
+        lambda: LinearReward(1.0, -1.0),
+        lambda: ConstantReward(float("nan")),
+    ], ids=["table-dip", "constant", "linear-end", "constant-nan"])
+    def test_negative_values_rejected(self, make):
+        # The dip of the table lies between the model's 2049 check points.
+        with pytest.raises(ValueError, match="nonnegative"):
+            make()
+
 
 class TestAssumptions:
     def test_wsc_example_all_pass(self, wsc_model):
@@ -126,6 +137,7 @@ class TestAssumptions:
         assert list(report) == ["A1", "A2", "A3", "A4", "A5"]
         for r in report.values():
             assert r.passed and not r.vacuous, r
+            assert type(r.passed) is bool
 
     def test_increasing_transplant_reward_fails_a1(self):
         m = StoppingModel(UniformDeteriorationKernel(), ConstantReward(0.5), LinearReward(0.0, 8.0))
