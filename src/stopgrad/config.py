@@ -280,37 +280,34 @@ def reward_from_spec(spec: str, H: float):
     """Build a reward function from its config string.
 
     Forms: `constant <v>`, `linear-decreasing <at_zero> <at_H>`,
-    `table <h:v> <h:v> ...` (piecewise-linear interpolation).  Every value must
-    be nonnegative; each form interpolates linearly between its values, so that
-    is exactly a nonnegative reward.
+    `table <h:v> <h:v> ...` (piecewise-linear interpolation).  A malformed
+    spec, or a value the reward classes reject (negative or non-finite),
+    raises a ConfigError that names the spec.
     """
     toks = spec.split()
     if not toks:
         raise ConfigError([f"empty reward spec"])
     kind, args = toks[0], toks[1:]
-
-    def nonnegative(*ys):
-        if not all(y >= 0.0 for y in ys):
-            raise ConfigError([f"reward spec {spec!r}: reward values must be nonnegative"])
-        return ys
-
-    if kind == "constant":
-        if len(args) != 1:
-            raise ConfigError([f"reward spec {spec!r}: constant takes one value"])
-        return ConstantReward(*nonnegative(float(args[0])))
-    if kind == "linear-decreasing":
-        if len(args) != 2:
-            raise ConfigError([f"reward spec {spec!r}: linear-decreasing takes two values"])
-        return LinearReward(*nonnegative(float(args[0]), float(args[1])), H)
-    if kind == "table":
-        pairs = []
-        for tok in args:
-            x, _, y = tok.partition(":")
-            pairs.append((float(x), float(y)))
-        if len(pairs) < 2:
-            raise ConfigError([f"reward spec {spec!r}: table needs at least two h:v pairs"])
-        xs, ys = zip(*pairs)
-        return TabulatedReward(xs, nonnegative(*ys))
+    try:
+        if kind == "constant":
+            if len(args) != 1:
+                raise ValueError("constant takes one value")
+            return ConstantReward(float(args[0]))
+        if kind == "linear-decreasing":
+            if len(args) != 2:
+                raise ValueError("linear-decreasing takes two values")
+            return LinearReward(float(args[0]), float(args[1]), H)
+        if kind == "table":
+            pairs = []
+            for tok in args:
+                x, _, y = tok.partition(":")
+                pairs.append((float(x), float(y)))
+            if len(pairs) < 2:
+                raise ValueError("table needs at least two h:v pairs")
+            xs, ys = zip(*pairs)
+            return TabulatedReward(xs, ys)
+    except ValueError as exc:
+        raise ConfigError([f"reward spec {spec!r}: {exc}"]) from exc
     raise ConfigError([f"unknown reward kind {kind!r} in {spec!r}"])
 
 

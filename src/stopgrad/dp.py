@@ -63,8 +63,9 @@ class GridDynamics:
     any point masses, which enter as linear-interpolation weights on the two
     nodes of their cell.  Every declared jump inside the living region must be
     a grid node; the constructor raises ValueError otherwise.  A value function
-    with a jump at node k (the policy threshold) stores its right limit in v[k]
-    and is applied as `continuation(v) + (left - v[k]) * _left_limit_col(k)`.
+    that jumps at a point t is carried by two adjacent nodes, one holding the
+    left limit just below t and the node t itself holding the right limit, so
+    a point mass exactly on t reads the right limit.
     """
 
     def __init__(self, model: StoppingModel, nodes: np.ndarray):
@@ -100,13 +101,12 @@ class GridDynamics:
         atoms = [(i, loc, mass) for i in range(living)
                  for loc, mass in model.kernel.point_masses(float(nodes[i])) if loc <= model.H_D]
         rows, locs, masses = np.array(atoms, dtype=float).reshape(-1, 3).T
-        self._atom_rows = rows.astype(np.intp)
-        self._atom_cells = np.maximum(np.searchsorted(nodes, locs) - 1, 0)
-        lo, hi = nodes[self._atom_cells], nodes[self._atom_cells + 1]
+        rows = rows.astype(np.intp)
+        cells = np.maximum(np.searchsorted(nodes, locs) - 1, 0)
+        lo, hi = nodes[cells], nodes[cells + 1]
         t = (locs - lo) / (hi - lo)
-        self._atom_right = masses * t
-        np.add.at(self.W, (self._atom_rows, self._atom_cells), masses * (1.0 - t))
-        np.add.at(self.W, (self._atom_rows, self._atom_cells + 1), self._atom_right)
+        np.add.at(self.W, (rows, cells), masses * (1.0 - t))
+        np.add.at(self.W, (rows, cells + 1), masses * t)
 
     def _cell_weights(self, j0: int, j1: int) -> tuple[np.ndarray, np.ndarray]:
         """Weights of cells [x_j, x_{j+1}], j0 <= j < j1, onto their two endpoint
@@ -121,17 +121,6 @@ class GridDynamics:
         wl = dx / 6.0 * (f[:, :, 0] + 2.0 * f[:, :, 1])
         wr = dx / 6.0 * (2.0 * f[:, :, 1] + f[:, :, 2])
         return wl, wr
-
-    def _left_limit_col(self, k: int) -> np.ndarray:
-        """Weight column of node k as the right end of cell k-1, density and point
-        masses alike: the weights that read the left limit of a jump at node k.
-        Zero for the first node and for nodes beyond H_D."""
-        col = np.zeros(self.nodes.size)
-        if 0 < k <= self._n_cells:
-            col[: self._n_cells + 1] = self._cell_weights(k - 1, k)[1][:, 0]
-            in_cell = self._atom_cells == k - 1
-            np.add.at(col, self._atom_rows[in_cell], self._atom_right[in_cell])
-        return col
 
     def continuation(self, v: np.ndarray) -> np.ndarray:
         """E[v(h') | h = x_i] for every node, integrating over the living region."""
@@ -238,28 +227,26 @@ def _policy_fixed_point(dyn: GridDynamics, model: StoppingModel, theta: float) -
     """Solve the fixed point of the threshold policy on the grid, starting from
     the transplant values.
 
-    Returns the array of left-limit values at the nodes (death nodes zero),
-    which is the function used for reporting values below the threshold.
-    Raises ConvergenceError if the sweeps run out.
+    Nodes below theta wait and the rest of the living region transplants; a
+    theta at or beyond H_D waits on the whole living region, including the H_D
+    node's living-side limit.  The grid is expected to hold a node just below
+    theta, which carries the waiting (left) limit of the jump at theta.
+    Returns the values at the nodes (death nodes zero).  Raises
+    ConvergenceError if the sweeps run out.
     """
     x = dyn.nodes
     lam = model.discount
     c, r = _raw_rewards(model, x)
     alive = dyn.alive
-    left_wait = alive & (x <= theta)
-    right_wait = alive & (x < theta)
+    wait = alive & ((x < theta) | (theta >= model.H_D))
     base = np.where(alive, r, 0.0)
-    # At the theta node the left limit (wait) and the right limit (transplant) differ.
-    k = int(np.searchsorted(x, theta))
-    col = dyn._left_limit_col(k)
-    vl = vr = base
+    v = base
     for _ in range(_POLICY_MAX_ITER):
-        new_wait = c + lam * (dyn.continuation(vr) + (vl[k] - vr[k]) * col)
-        residual = float(np.abs(new_wait[left_wait] - vl[left_wait]).max()) if left_wait.any() else 0.0
-        vl = np.where(left_wait, new_wait, base)
-        vr = np.where(right_wait, new_wait, base)
+        new_wait = c + lam * dyn.continuation(v)
+        residual = float(np.abs(new_wait[wait] - v[wait]).max()) if wait.any() else 0.0
+        v = np.where(wait, new_wait, base)
         if residual < _POLICY_TOL:
-            return vl
+            return v
     raise ConvergenceError(f"policy evaluation at theta {theta!r} did not converge in {_POLICY_MAX_ITER} sweeps "
                            f"(residual {residual:.3e})")
 
@@ -286,23 +273,28 @@ def policy_value_sweep(
 ) -> list[float]:
     """Policy values over a list of thresholds on one shared grid.
 
-    Raises ConvergenceError if policy evaluation does not converge at some threshold.
+    Each threshold t is a grid node holding the transplant value; for
+    0 < t < H_D the node just below t (np.nextafter(t, 0)) is inserted too and
+    holds the waiting value, so the jump at t is exact and a point mass on t
+    transplants.  Raises ConvergenceError if policy evaluation does not
+    converge at some threshold.
     """
     ths = [float(t) for t in thetas]
     if not all(0.0 <= t <= model.H for t in ths) or not (0.0 <= h0 <= model.H):
         raise DomainError("theta and h0 must lie in [0, H]")
     if model.discount >= 1.0:
         raise ValueError("infinite-horizon policy evaluation requires discount < 1")
-    dyn = GridDynamics(model, make_grid(model, num_nodes, extra=ths))
+    below = [np.nextafter(t, 0.0) for t in ths if 0.0 < t < model.H_D]
+    dyn = GridDynamics(model, make_grid(model, num_nodes, extra=ths + below))
     out: list[float] = []
     for t in ths:
-        vl = _policy_fixed_point(dyn, model, t)
+        v = _policy_fixed_point(dyn, model, t)
         if h0 >= model.H_D:
             out.append(0.0)
         elif h0 >= t:
             out.append(float(model.transplant_reward(h0)))
         else:
-            out.append(float(np.interp(h0, dyn.nodes, vl)))
+            out.append(float(np.interp(h0, dyn.nodes, v)))
     return out
 
 

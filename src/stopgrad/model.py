@@ -27,10 +27,10 @@ _AUDIT_TOL = 1e-9
 
 
 def _check_nonnegative(*ys: float) -> None:
-    """Reject negative or NaN reward values.  Each reward form below interpolates
-    linearly between its values, so the check is exact."""
-    if not all(y >= 0.0 for y in ys):
-        raise ValueError("reward values must be nonnegative")
+    """Reject negative or non-finite reward values.  Each reward form below
+    interpolates linearly between its values, so the check is exact."""
+    if not all(0.0 <= y < np.inf for y in ys):
+        raise ValueError("reward values must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -70,6 +70,8 @@ class TabulatedReward:
     def __post_init__(self):
         if len(self.xs) != len(self.ys) or len(self.xs) < 2:
             raise ValueError("tabulated reward needs at least two (x, y) pairs")
+        if not np.all(np.isfinite(self.xs)):
+            raise ValueError("tabulated reward abscissae must be finite")
         if np.any(np.diff(self.xs) <= 0.0):
             raise ValueError("tabulated reward abscissae must be strictly increasing")
         _check_nonnegative(*self.ys)
@@ -109,8 +111,8 @@ class StoppingModel:
         grid = np.linspace(0.0, self.H, 2049)
         c = np.asarray(self.reward_wait(grid), dtype=float)
         r = np.asarray(self.reward_transplant(grid), dtype=float)
-        if np.any(c < 0.0) or np.any(r < 0.0):
-            raise ValueError("reward functions must be nonnegative on [0, H]")
+        if not (np.all((0.0 <= c) & (c < np.inf)) and np.all((0.0 <= r) & (r < np.inf))):
+            raise ValueError("reward functions must be finite and nonnegative on [0, H]")
         object.__setattr__(self, "wait_sup", float(c.max()))
         object.__setattr__(self, "transplant_sup", float(r.max()))
 

@@ -25,8 +25,8 @@ parameters of `ipa_estimate`.
 Also removed on purpose: `dp.ORACLE_NODES` (`oracle_derivative` uses the one
 grid default `DEFAULT_NODES`), the warm start of `policy_value_sweep` (every
 threshold starts from the transplant values), and the `v_left` argument of
-`GridDynamics.continuation` (the jump at the threshold node enters the policy
-sweep through the private `_left_limit_col`).
+`GridDynamics.continuation` (the policy sweep carries the jump at the
+threshold on a grid node just below it).
 """
 
 from __future__ import annotations

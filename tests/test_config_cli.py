@@ -116,6 +116,8 @@ class TestValidation:
             lambda c: setattr(c.model, "reward_wait", "constant -1"),
             # The dip falls between the points build_model samples, so only the spec check catches it.
             lambda c: setattr(c.model, "reward_wait", "table 0:1 0.0001:-1 0.0002:1"),
+            lambda c: setattr(c.model, "reward_wait", "constant inf"),
+            lambda c: setattr(c.model, "reward_transplant", "table 0:8 nan:4 1:0"),
         ],
     )
     def test_rejections(self, mutate):
@@ -261,8 +263,11 @@ class TestCliSubcommands:
         (None, ["solve", "--nodes", "1"]),
         (None, ["check", "--grid-points", "0"]),
         (("reward_wait = constant 0.5", "reward_wait = table 0:1 0.0001:-1 0.0002:1"), ["check"]),
+        (("reward_wait = constant 0.5", "reward_wait = constant inf"), ["gradient", "--theta", "0.5", "--reps", "1000"]),
+        (("reward_transplant = linear-decreasing 8.0 0.0", "reward_transplant = table 0:8 nan:4 1:0"), ["check"]),
     ], ids=["negative-wait-reward", "simulate-theta-5", "spa-theta-0", "fd-theta-0.001", "solve-tol-nan",
-            "solve-max-iter-negative", "solve-nodes-1", "check-grid-points-0", "negative-table-dip"])
+            "solve-max-iter-negative", "solve-nodes-1", "check-grid-points-0", "negative-table-dip",
+            "infinite-wait-reward", "nan-table-abscissa"])
     def test_invalid_input_exit_code(self, tmp_path, ini_edit, args):
         (tmp_path / "small.ini").write_text(SMALL_INI.replace(*ini_edit) if ini_edit else SMALL_INI)
         res = run_cli(["--config", "small.ini", "--out", ".", *args], tmp_path)

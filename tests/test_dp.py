@@ -20,7 +20,7 @@ from stopgrad.dp import (
 )
 from stopgrad.kernel import DomainError, UniformDeteriorationKernel
 from stopgrad.model import ConstantReward, LinearReward, StoppingModel
-from stopgrad.sim import ReplicationStreams, estimate_value
+from stopgrad.sim import ReplicationStreams, estimate_value, sample_paths
 
 LAM = 0.97
 
@@ -73,28 +73,26 @@ class TestGridDynamics:
         np.testing.assert_allclose(dyn.continuation(nodes)[live], (1.0 - nodes[live]) / 2.0, rtol=0, atol=1e-12)
 
     def test_one_sided_limits_at_a_jump_node(self, wsc_model):
-        # v = 1{h >= theta} jumps at the grid node theta: the right limit there is 1
-        # and the left limit 0, so E[v(h') | x] = P(h' >= theta | x).
+        # v = 1{h >= theta} jumps at the grid node theta: the node theta holds the
+        # right limit 1 and the node just below it the left limit 0, so
+        # E[v(h') | x] = P(h' >= theta | x).
         theta = 0.5
-        nodes = make_grid(wsc_model, 1025)
+        nodes = make_grid(wsc_model, 1025, extra=(np.nextafter(theta, 0.0),))
         assert theta in nodes
-        k = int(np.searchsorted(nodes, theta))
         dyn = GridDynamics(wsc_model, nodes)
         v = (nodes >= theta).astype(float)
         x = nodes[nodes < 1.0]
-        cont = (dyn.continuation(v) + (0.0 - v[k]) * dyn._left_limit_col(k))[nodes < 1.0]
+        cont = dyn.continuation(v)[nodes < 1.0]
         np.testing.assert_allclose(cont, np.minimum(1.0, (1.0 - theta) / (1.0 - x)), rtol=0, atol=1e-12)
 
     def test_weights_do_not_depend_on_block_size(self, monkeypatch):
         m = StoppingModel(UniformDeteriorationKernel(), ConstantReward(0.5), LinearReward(8.0, 0.0), H_D=0.6)
         nodes = make_grid(m, 129, extra=(1.0 / 3.0,))
-        k = int(np.searchsorted(nodes, 1.0 / 3.0))
         ref = GridDynamics(m, nodes)
         for block in (1, 7, nodes.size):
             monkeypatch.setattr(dp, "_BLOCK_CELLS", block)
             dyn = GridDynamics(m, nodes)
             assert np.array_equal(dyn.W, ref.W)
-            assert np.array_equal(dyn._left_limit_col(k), ref._left_limit_col(k))
 
     def test_grid_requires_death_threshold_node(self, wsc_model):
         with pytest.raises(ValueError):
@@ -237,15 +235,29 @@ class TestPolicyValue:
 
     @pytest.mark.parametrize("H_D", [1.0, 0.9])
     def test_point_mass_on_the_threshold_node_reads_the_left_limit(self, H_D):
-        # The frozen state waits forever below theta, worth c / (1 - discount); just
-        # below the theta node the value interpolates towards that node's left limit,
-        # which the row's point mass on the node itself must read.
+        # The frozen state waits forever below theta, worth c / (1 - discount), up to
+        # h0 just below theta.  The waiting (left) limit at theta lives on the node
+        # just below it, which the frozen row there reads through its point mass on
+        # itself.
         from test_estimators import FrozenKernel
 
         m = StoppingModel(FrozenKernel(), ConstantReward(0.5), ConstantReward(1.0), H_D=H_D)
         for h0 in (0.0, 0.3, 0.5 - 1e-9):
             for v in policy_value_sweep(m, (0.5, 0.85), h0, num_nodes=257):
                 assert v == pytest.approx(0.5 / (1 - LAM), abs=1e-7)
+
+    @pytest.mark.parametrize("H_D", [1.0, 0.9])
+    def test_point_mass_exactly_on_the_threshold_transplants(self, H_D):
+        # From below 0.5 the state jumps to exactly 0.5 = theta, where the policy
+        # transplants, as the simulator does: one waiting period, then r(0.5).
+        from test_estimators import StepKernel
+
+        m = StoppingModel(StepKernel(0.5), ConstantReward(0.5), LinearReward(8.0, 0.0), H_D=H_D)
+        exact = 0.5 + LAM * 4.0
+        for h0 in (0.0, 0.3, 0.5 - 1e-9):
+            assert policy_value(m, 0.5, h0) == pytest.approx(exact, abs=1e-9)
+            batch = sample_paths(m, 0.5, h0, 10, 100, ReplicationStreams(7))
+            assert batch.value.mean() == pytest.approx(exact, abs=1e-9)
 
     def test_sweep_validates_its_inputs(self, wsc_model):
         with pytest.raises(DomainError):

@@ -41,6 +41,29 @@ class FrozenKernel(TransitionKernel):
         return ((float(h_cur), 1.0),)
 
 
+class StepKernel(TransitionKernel):
+    """The next state is max(h, L): a point mass that lifts every state below L onto L."""
+
+    H = 1.0
+
+    def __init__(self, L: float):
+        self.L = L
+
+    def density(self, h_next, h_cur):
+        out = np.zeros(np.broadcast(np.asarray(h_next), np.asarray(h_cur)).shape)
+        return float(out) if out.shape == () else out
+
+    def tail_mass(self, a, h_cur):
+        return np.where(np.maximum(np.asarray(h_cur), self.L) >= np.asarray(a), 1.0, 0.0)
+
+    def ppf(self, u, h_cur):
+        out = np.maximum(np.asarray(h_cur, dtype=float), self.L) + 0.0 * np.asarray(u)
+        return float(out) if out.ndim == 0 else out
+
+    def point_masses(self, h_cur):
+        return ((max(float(h_cur), self.L), 1.0),)
+
+
 class TestGradEstimate:
     def test_summary_invariants(self):
         vals = np.array([1.0, 3.0, 5.0, 7.0])

@@ -90,6 +90,11 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             StoppingModel(UniformDeteriorationKernel(), ConstantReward(-1.0), ConstantReward(1.0))
 
+    def test_non_finite_callable_rejected(self):
+        # A plain callable is checked only on the model's 2049 points.
+        with pytest.raises(ValueError, match="finite"):
+            StoppingModel(UniformDeteriorationKernel(), lambda h: np.full_like(h, np.inf), ConstantReward(1.0))
+
     def test_sup_bounds_and_value_bound(self, wsc_model):
         assert wsc_model.wait_sup == pytest.approx(0.5)
         assert wsc_model.transplant_sup == pytest.approx(8.0)
@@ -107,13 +112,16 @@ class TestRewardForms:
     def test_tabulated_validation(self):
         with pytest.raises(ValueError):
             TabulatedReward((0.0, 0.0), (1.0, 2.0))
+        with pytest.raises(ValueError, match="finite"):
+            TabulatedReward((0.0, float("nan"), 1.0), (8.0, 4.0, 0.0))
 
     @pytest.mark.parametrize("make", [
         lambda: TabulatedReward((0.0, 1e-4, 2e-4, 1.0), (1.0, -1.0, 1.0, 1.0)),
         lambda: ConstantReward(-1.0),
         lambda: LinearReward(1.0, -1.0),
         lambda: ConstantReward(float("nan")),
-    ], ids=["table-dip", "constant", "linear-end", "constant-nan"])
+        lambda: ConstantReward(float("inf")),
+    ], ids=["table-dip", "constant", "linear-end", "constant-nan", "constant-inf"])
     def test_negative_values_rejected(self, make):
         # The dip of the table lies between the model's 2049 check points.
         with pytest.raises(ValueError, match="nonnegative"):
