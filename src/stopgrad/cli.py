@@ -69,6 +69,8 @@ def _gradient_once(cfg: ExperimentConfig, model: StoppingModel, method: str, del
 
 def run_check(cfg: ExperimentConfig, model: StoppingModel, out: Path, streams: ReplicationStreams,
               workers: int, args: argparse.Namespace) -> int:
+    if args.grid_points < 1:
+        raise ValueError("--grid-points must be at least 1")
     grid = np.linspace(0.0, model.H_D, args.grid_points + 1)[:-1]
     results = check_assumptions(model, grid).values()
     rows = [
@@ -183,13 +185,13 @@ def optimize_theta(cfg: ExperimentConfig, model: StoppingModel, streams: Replica
     final row holding the terminal theta.  The iterate is clipped into
     [clip_margin, H - clip_margin] after every step.
     """
-    opt, run = cfg.optimize, cfg.run
+    opt = cfg.optimize
     lo, hi = opt.clip_margin, model.H - opt.clip_margin
     theta = min(max(opt.theta0, lo), hi)
     rows = []
     for k in range(opt.iterations):
-        est = spa_estimate(model, theta, run.h0, run.horizon, opt.reps_per_step,
-                           cfg.estimator.aux_reps, streams.child(_OPTIMIZER_DOMAIN_BASE + k), workers)
+        est = _gradient_once(cfg, model, "spa", None, theta, opt.reps_per_step,
+                             streams.child(_OPTIMIZER_DOMAIN_BASE + k), workers)
         rows.append((k, theta, est.mean, est.se))
         step = opt.step_size / (k + 1.0)
         theta = min(max(theta + step * est.mean, lo), hi)

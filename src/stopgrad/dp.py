@@ -261,6 +261,12 @@ def policy_value(
 
     The threshold is inserted as a grid node so the wait/transplant boundary is
     honored exactly.  Raises ConvergenceError if policy evaluation does not converge.
+
+    Known limit: within about 1e-3 of H the value reads low, because the chance
+    of crossing from the last cell below theta changes on a scale of H - theta,
+    far below the node spacing, which linear interpolation misreads.  On
+    wsc-example from h0 = 0 it gives 4.285 against the exact 5.985 at
+    theta = 1 - 1e-6.
     """
     return policy_value_sweep(model, (theta,), h0, num_nodes)[0]
 
@@ -310,6 +316,10 @@ def oracle_derivative(
     Both evaluation points are inserted as nodes of one shared grid, so the
     difference never degenerates to a same-cell comparison and the grid bias
     cancels between the two solves.
+
+    Known limit: within dtheta of a knot of a tabulated reward, V'' jumps and
+    the central difference carries an O(dtheta) error.  On a two-table model
+    (H_D = 0.9, discount 0.95) it is 1.0e-2 off the closed form at theta = 0.8.
     """
     if not (dtheta > 0.0):
         raise ValueError("dtheta must be positive")

@@ -154,12 +154,22 @@ class AssumptionResult:
     note: str = ""
 
 
-def _monotone_worst(values: np.ndarray, direction: int) -> tuple[float, int]:
-    """Largest violation of (non)monotonicity along axis 0; direction +1 = nondecreasing."""
-    diffs = direction * np.diff(values)
-    worst = float((-diffs).max()) if diffs.size else 0.0
-    idx = int(np.argmax(-diffs)) if diffs.size else 0
-    return worst, idx
+def _verdict(name: str, excess: np.ndarray, witness: Callable[..., tuple],
+             note: Callable[..., str] = lambda *idx: "") -> AssumptionResult:
+    """The audit rule: `excess` is positive where the condition fails, and the audit passes when
+    no entry exceeds _AUDIT_TOL (an empty array passes).  `worst` is the largest entry, 0 when
+    none is positive; a failing result carries `witness` and `note` of that entry's index."""
+    worst = float(excess.max()) if excess.size else 0.0
+    if worst <= _AUDIT_TOL:
+        return AssumptionResult(name, True, worst=max(worst, 0.0))
+    idx = np.unravel_index(int(np.argmax(excess)), excess.shape)
+    return AssumptionResult(name, False, worst=worst, witness=witness(*idx), note=note(*idx))
+
+
+def _rising_verdict(name: str, g: np.ndarray, tails: np.ndarray) -> AssumptionResult:
+    """Audit that every row of `tails` [x0, x] is nondecreasing along the grid x = g; a failing
+    result carries the worst violating triple (x0, x1, x2)."""
+    return _verdict(name, tails[:, :-1] - tails[:, 1:], lambda i, j: (float(g[i]), float(g[j]), float(g[j + 1])))
 
 
 def _audit_grid(grid: Sequence[float]) -> np.ndarray:
@@ -177,17 +187,8 @@ def check_ifr(kernel: TransitionKernel, grid: Sequence[float]) -> AssumptionResu
     Numerical audit, not a proof: monotonicity is tested pairwise on adjacent
     grid points.  A failing result carries the worst violating triple (x0, x1, x2).
     """
-    g = _audit_grid(grid)
-    _check_state(g, kernel.H, "grid")
-    if g.size == 1:
-        return AssumptionResult("A3", True)
-    tails = np.asarray(kernel.tail_mass(g[:, None], g[None, :]))  # [x0, x]
-    drops = tails[:, :-1] - tails[:, 1:]  # positive entries are violations
-    worst = float(drops.max())
-    if worst <= _AUDIT_TOL:
-        return AssumptionResult("A3", True, worst=max(worst, 0.0))
-    i, j = np.unravel_index(int(np.argmax(drops)), drops.shape)
-    return AssumptionResult("A3", False, worst=worst, witness=(float(g[i]), float(g[j]), float(g[j + 1])))
+    g = _check_state(_audit_grid(grid), kernel.H, "grid")
+    return _rising_verdict("A3", g, np.asarray(kernel.tail_mass(g[:, None], g[None, :])))
 
 
 def check_assumptions(model: StoppingModel, grid: Sequence[float] | None = None) -> dict[str, AssumptionResult]:
@@ -201,7 +202,7 @@ def check_assumptions(model: StoppingModel, grid: Sequence[float] | None = None)
     if grid is None:
         grid = np.linspace(0.0, model.H_D, 102)[:-1]
     g = _audit_grid(grid)
-    if np.any(g < 0.0) or np.any(g >= model.H_D):
+    if not np.all((0.0 <= g) & (g < model.H_D)):
         raise ValueError("grid must lie in [0, H_D)")
 
     results = []
@@ -209,18 +210,8 @@ def check_assumptions(model: StoppingModel, grid: Sequence[float] | None = None)
     # A1: both reward functions continuous and nonincreasing (nonincreasing audited).
     c = np.asarray(model.reward_wait(g), dtype=float)
     r = np.asarray(model.reward_transplant(g), dtype=float)
-    worst_c, i_c = _monotone_worst(c, -1)
-    worst_r, i_r = _monotone_worst(r, -1)
-    if max(worst_c, worst_r) <= _AUDIT_TOL:
-        results.append(AssumptionResult("A1", True, worst=max(worst_c, worst_r)))
-    else:
-        which, worst, i = ("wait", worst_c, i_c) if worst_c >= worst_r else ("transplant", worst_r, i_r)
-        results.append(
-            AssumptionResult(
-                "A1", False, worst=worst, witness=(float(g[i]), float(g[i + 1])),
-                note=f"{which} reward increases on the grid",
-            )
-        )
+    results.append(_verdict("A1", np.diff(np.stack([c, r])), lambda k, i: (float(g[i]), float(g[i + 1])),
+                            lambda k, i: f"{('wait', 'transplant')[k]} reward increases on the grid"))
 
     # A2: density exists, normalized, and bounded on the audited grid.
     worst_norm = 0.0
@@ -234,40 +225,21 @@ def check_assumptions(model: StoppingModel, grid: Sequence[float] | None = None)
     results.append(AssumptionResult("A2", a2_ok, worst=worst_norm, note=f"grid density bound {grid_bound:.6g}"))
 
     # A3: increasing failure rate of the kernel.
-    results.append(check_ifr(model.kernel, g))
+    tails = np.asarray(model.kernel.tail_mass(g[:, None], g[None, :]))  # [h0, h]
+    results.append(_rising_verdict("A3", g, tails))
 
-    no_death = model.H_D >= model.H
+    if model.H_D >= model.H:
+        results += [AssumptionResult(name, True, vacuous=True, note="death interval empty") for name in ("A4", "A5")]
+        return {r.name: r for r in results}
     tails_hd = np.asarray(model.kernel.tail_mass(model.H_D, g))
 
     # A4: mass placed below H_D but above any h0 is monotone in the current state.
-    if no_death:
-        results.append(AssumptionResult("A4", True, vacuous=True, note="death interval empty"))
-    else:
-        tails_h0 = np.asarray(model.kernel.tail_mass(g[:, None], g[None, :]))  # [h0, h]
-        below = tails_h0 - tails_hd[None, :]
-        worst = float((below[:, :-1] - below[:, 1:]).max())
-        if worst <= _AUDIT_TOL:
-            results.append(AssumptionResult("A4", True, worst=max(worst, 0.0)))
-        else:
-            i, j = np.unravel_index(int(np.argmax(below[:, :-1] - below[:, 1:])), (g.size, g.size - 1))
-            results.append(
-                AssumptionResult("A4", False, worst=worst, witness=(float(g[i]), float(g[j]), float(g[j + 1])))
-            )
+    results.append(_rising_verdict("A4", g, tails - tails_hd[None, :]))
 
     # A5: relative transplant-reward drop is covered by the added death risk.
-    if no_death:
-        results.append(AssumptionResult("A5", True, vacuous=True, note="death interval empty"))
-    else:
-        i1, i2 = np.triu_indices(g.size, k=1)
-        ok_pairs = r[i2] > 0.0
-        lhs = np.where(ok_pairs, (r[i1] - r[i2]) / np.where(ok_pairs, r[i2], 1.0), -np.inf)
-        rhs = model.discount * (tails_hd[i2] - tails_hd[i1])
-        excess = lhs - rhs
-        worst = float(excess.max()) if excess.size else 0.0
-        if worst <= _AUDIT_TOL:
-            results.append(AssumptionResult("A5", True, worst=max(worst, 0.0)))
-        else:
-            k = int(np.argmax(excess))
-            results.append(AssumptionResult("A5", False, worst=worst, witness=(float(g[i1[k]]), float(g[i2[k]]))))
-
+    i1, i2 = np.triu_indices(g.size, k=1)
+    ok_pairs = r[i2] > 0.0
+    lhs = np.where(ok_pairs, (r[i1] - r[i2]) / np.where(ok_pairs, r[i2], 1.0), -np.inf)
+    rhs = model.discount * (tails_hd[i2] - tails_hd[i1])
+    results.append(_verdict("A5", lhs - rhs, lambda k: (float(g[i1[k]]), float(g[i2[k]]))))
     return {r.name: r for r in results}

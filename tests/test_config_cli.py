@@ -174,6 +174,14 @@ class TestCliSubcommands:
         assert [r["assumption"] for r in rows] == ["A1", "A2", "A3", "A4", "A5"]
         assert all(r["passed"] == "true" for r in rows)
 
+    def test_check_one_point_grid_with_interior_death(self, tmp_path):
+        (tmp_path / "death.ini").write_text(SMALL_INI.replace("H_D = 1.0", "H_D = 0.6"))
+        res = run_cli(["--config", "death.ini", "--out", ".", "check", "--grid-points", "1"], tmp_path)
+        assert res.returncode == 0, res.stderr
+        rows = read_csv(tmp_path / "check.csv")
+        assert [(r["assumption"], r["passed"], r["vacuous"]) for r in rows][2:4] == [
+            ("A3", "true", "false"), ("A4", "true", "false")]
+
     def test_solve_outputs_nonincreasing_value(self, tmp_path):
         res = run_cli(["--out", ".", "solve", "--nodes", "257"], tmp_path)
         assert res.returncode == 0, res.stderr
@@ -262,17 +270,21 @@ class TestCliSubcommands:
         (None, ["solve", "--max-iter", "-1"]),
         (None, ["solve", "--nodes", "1"]),
         (None, ["check", "--grid-points", "0"]),
+        (None, ["check", "--grid-points", "-3"]),
         (("reward_wait = constant 0.5", "reward_wait = table 0:1 0.0001:-1 0.0002:1"), ["check"]),
         (("reward_wait = constant 0.5", "reward_wait = constant inf"), ["gradient", "--theta", "0.5", "--reps", "1000"]),
         (("reward_transplant = linear-decreasing 8.0 0.0", "reward_transplant = table 0:8 nan:4 1:0"), ["check"]),
     ], ids=["negative-wait-reward", "simulate-theta-5", "spa-theta-0", "fd-theta-0.001", "solve-tol-nan",
-            "solve-max-iter-negative", "solve-nodes-1", "check-grid-points-0", "negative-table-dip",
+            "solve-max-iter-negative", "solve-nodes-1", "check-grid-points-0", "check-grid-points-negative",
+            "negative-table-dip",
             "infinite-wait-reward", "nan-table-abscissa"])
     def test_invalid_input_exit_code(self, tmp_path, ini_edit, args):
         (tmp_path / "small.ini").write_text(SMALL_INI.replace(*ini_edit) if ini_edit else SMALL_INI)
         res = run_cli(["--config", "small.ini", "--out", ".", *args], tmp_path)
         assert res.returncode == 2, res.stderr
         assert "Traceback" not in res.stderr
+        if "--grid-points" in args:
+            assert "--grid-points" in res.stderr
 
     def test_solve_nonconvergence_exit_code(self, tmp_path):
         res = run_cli(["--out", ".", "solve", "--nodes", "129", "--max-iter", "5"], tmp_path)

@@ -176,6 +176,28 @@ class TestAssumptions:
         rep = check_assumptions(m, np.linspace(0.0, 0.89, 90))
         assert not rep["A4"].passed
 
+    @pytest.mark.parametrize("H_D", [1.0, 0.6])
+    def test_one_point_grid(self, H_D):
+        # A one-point grid has no adjacent pair to compare: the band audit (A4)
+        # passes like the IFR audit (A3) instead of reducing an empty array.
+        m = StoppingModel(UniformDeteriorationKernel(), ConstantReward(0.5), LinearReward(8.0, 0.0), H_D=H_D)
+        report = check_assumptions(m, [0.1])
+        assert list(report) == ["A1", "A2", "A3", "A4", "A5"]
+        assert report["A3"].passed and report["A4"].passed and report["A5"].passed
+        assert report["A4"].vacuous == (H_D == 1.0)
+        assert report["A4"].worst == 0.0
+
+    @pytest.mark.parametrize("wait,transplant,H_D", [
+        (LinearReward(1.0, 0.2), LinearReward(8.0, 0.0), 0.9),
+        (LinearReward(1.0, 0.2), LinearReward(8.0, 0.0), 1.0),
+        (LinearReward(0.5, 0.1), TabulatedReward((0.0, 0.5, 1.0), (9.0, 5.0, 1.0)), 0.6),
+    ], ids=["linear-0.9", "linear-1", "table-0.6"])
+    def test_worst_is_never_negative(self, wait, transplant, H_D):
+        # Both rewards strictly decrease on the grid, so there is no violation: worst reads 0.
+        report = check_assumptions(StoppingModel(UniformDeteriorationKernel(), wait, transplant, H_D=H_D))
+        assert report["A1"].passed and report["A1"].worst == 0.0
+        assert all(r.worst >= 0.0 for r in report.values()), report
+
     def test_report_lookup_raises_for_unknown(self, wsc_model):
         with pytest.raises(KeyError):
             check_assumptions(wsc_model)["A9"]
@@ -183,3 +205,5 @@ class TestAssumptions:
     def test_grid_must_live_below_death(self, wsc_model):
         with pytest.raises(ValueError):
             check_assumptions(wsc_model, np.array([0.0, 1.0]))
+        with pytest.raises(ValueError):
+            check_assumptions(wsc_model, np.array([0.1, np.nan]))
