@@ -13,7 +13,7 @@ from .dp import (
 from .estimators import GradEstimate, fd_estimate, ipa_estimate, spa_estimate
 from .kernel import TransitionKernel, UniformDeteriorationKernel
 from .model import StoppingModel, check_assumptions, check_ifr
-from .sim import ReplicationStreams, estimate_value, sample_paths
+from .sim import ReplicationStreams, sample_paths
 
 __version__ = "0.1.0"
 
@@ -28,7 +28,6 @@ __all__ = [
     "build_model",
     "check_assumptions",
     "check_ifr",
-    "estimate_value",
     "extract_control_limit",
     "fd_estimate",
     "ipa_estimate",

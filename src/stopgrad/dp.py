@@ -1,5 +1,5 @@
 """Discretized dynamic programming: value iteration, policy values, and the
-finite-difference oracle for the threshold derivative."""
+oracle for the threshold derivative."""
 
 from __future__ import annotations
 
@@ -223,32 +223,34 @@ def extract_control_limit(model: StoppingModel, V: GridValueFunction) -> Control
     return ControlLimitResult(theta_star, holes.size == 0, tuple(float(V.nodes[k]) for k in holes[:10]))
 
 
-def _policy_fixed_point(dyn: GridDynamics, model: StoppingModel, theta: float) -> np.ndarray:
-    """Solve the fixed point of the threshold policy on the grid, starting from
-    the transplant values.
+def _policy_fixed_point(dyn: GridDynamics, theta: float, src: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """Solve v = where(wait, src + discount * continuation(v), base) on the
+    grid, starting from base.
 
-    Nodes below theta wait and the rest of the living region transplants; a
+    Nodes below theta wait and the rest of the living region takes base; a
     theta at or beyond H_D waits on the whole living region, including the H_D
-    node's living-side limit.  The grid is expected to hold a node just below
-    theta, which carries the waiting (left) limit of the jump at theta.
-    Returns the values at the nodes (death nodes zero).  Raises
-    ConvergenceError if the sweeps run out.
+    node's living-side limit.  Policy values take src = c and base = r (0
+    beyond H_D); the threshold sensitivity takes the crossing source and
+    base = 0.  Raises ConvergenceError if the sweeps run out.
     """
-    x = dyn.nodes
-    lam = model.discount
-    c, r = _raw_rewards(model, x)
-    alive = dyn.alive
-    wait = alive & ((x < theta) | (theta >= model.H_D))
-    base = np.where(alive, r, 0.0)
+    lam = dyn.model.discount
+    wait = dyn.alive & ((dyn.nodes < theta) | (theta >= dyn.model.H_D))
     v = base
     for _ in range(_POLICY_MAX_ITER):
-        new_wait = c + lam * dyn.continuation(v)
+        new_wait = src + lam * dyn.continuation(v)
         residual = float(np.abs(new_wait[wait] - v[wait]).max()) if wait.any() else 0.0
         v = np.where(wait, new_wait, base)
         if residual < _POLICY_TOL:
             return v
     raise ConvergenceError(f"policy evaluation at theta {theta!r} did not converge in {_POLICY_MAX_ITER} sweeps "
                            f"(residual {residual:.3e})")
+
+
+def _check_policy_args(model: StoppingModel, thetas: Sequence[float], h0: float) -> None:
+    if not all(0.0 <= t <= model.H for t in thetas) or not (0.0 <= h0 <= model.H):
+        raise DomainError("theta and h0 must lie in [0, H]")
+    if model.discount >= 1.0:
+        raise ValueError("infinite-horizon policy evaluation requires discount < 1")
 
 
 def policy_value(
@@ -286,15 +288,14 @@ def policy_value_sweep(
     converge at some threshold.
     """
     ths = [float(t) for t in thetas]
-    if not all(0.0 <= t <= model.H for t in ths) or not (0.0 <= h0 <= model.H):
-        raise DomainError("theta and h0 must lie in [0, H]")
-    if model.discount >= 1.0:
-        raise ValueError("infinite-horizon policy evaluation requires discount < 1")
+    _check_policy_args(model, ths, h0)
     below = [np.nextafter(t, 0.0) for t in ths if 0.0 < t < model.H_D]
     dyn = GridDynamics(model, make_grid(model, num_nodes, extra=ths + below))
+    c, r = _raw_rewards(model, dyn.nodes)
+    base = np.where(dyn.alive, r, 0.0)
     out: list[float] = []
     for t in ths:
-        v = _policy_fixed_point(dyn, model, t)
+        v = _policy_fixed_point(dyn, t, c, base)
         if h0 >= model.H_D:
             out.append(0.0)
         elif h0 >= t:
@@ -308,23 +309,37 @@ def oracle_derivative(
     model: StoppingModel,
     theta: float,
     h0: float,
-    dtheta: float = 1e-3,
     num_nodes: int = DEFAULT_NODES,
 ) -> float:
-    """Deterministic central difference of the policy value in the threshold.
+    """Derivative of the policy value in the threshold, by differentiating the
+    policy fixed point (Cao's performance-derivative form).
 
-    Both evaluation points are inserted as nodes of one shared grid, so the
-    difference never degenerates to a same-cell comparison and the grid bias
-    cancels between the two solves.
+    For states below theta, V' = s solves s = src + discount * E[s(h') 1{h' < theta}]
+    with src(x) = discount * f(theta | x) * (v(theta-) - r(theta)): the
+    discounted density of crossing exactly at theta times the jump of the policy
+    value there.  One grid holds theta and the node just below it, which
+    carries v(theta-); the policy values and s are two solves of the same
+    fixed-point loop, with no step in theta.  Returns 0 for theta <= h0 or
+    theta >= H_D, where the value does not depend on theta.  Raises DomainError
+    when a waiting node has a point mass exactly on theta (the value jumps in
+    theta) or a density jump there (the value has a kink in theta).
 
-    Known limit: within dtheta of a knot of a tabulated reward, V'' jumps and
-    the central difference carries an O(dtheta) error.  On a two-table model
-    (H_D = 0.9, discount 0.95) it is 1.0e-2 off the closed form at theta = 0.8.
+    Known limit: within about 1e-3 of H the policy values read low (see
+    `policy_value`), and so does the jump at theta.
     """
-    if not (dtheta > 0.0):
-        raise ValueError("dtheta must be positive")
-    lo, hi = theta - dtheta / 2.0, theta + dtheta / 2.0
-    if not (0.0 < lo and hi < model.H):
-        raise DomainError("theta +/- dtheta/2 must lie inside (0, H)")
-    v_hi, v_lo = policy_value_sweep(model, (hi, lo), h0, num_nodes)
-    return (v_hi - v_lo) / dtheta
+    theta = float(theta)
+    _check_policy_args(model, (theta,), h0)
+    if theta <= h0 or theta >= model.H_D:
+        return 0.0
+    dyn = GridDynamics(model, make_grid(model, num_nodes, extra=(theta, np.nextafter(theta, 0.0))))
+    x = dyn.nodes
+    for h in x[x < theta].tolist():
+        if theta in model.kernel.density_discontinuities(h) or any(
+                loc == theta and mass > 0.0 for loc, mass in model.kernel.point_masses(h)):
+            raise DomainError(f"the waiting state {h!r} has a point mass or a density jump exactly on theta "
+                              f"{theta!r}, where the policy value has no derivative in theta")
+    c, r = _raw_rewards(model, x)
+    v = _policy_fixed_point(dyn, theta, c, np.where(dyn.alive, r, 0.0))
+    k = int(np.searchsorted(x, theta))  # the theta node; k - 1 holds the waiting limit
+    src = model.discount * np.asarray(model.kernel.density(theta, x), dtype=float) * (v[k - 1] - r[k])
+    return float(np.interp(h0, x, _policy_fixed_point(dyn, theta, src, np.zeros(x.size))))

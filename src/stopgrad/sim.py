@@ -1,4 +1,4 @@
-"""Trajectory simulation under threshold policies and Monte Carlo value estimation.
+"""Trajectory simulation under threshold policies.
 
 Replications are driven by `ReplicationStreams`, which hands every replication
 id its own reproducible uniform substream.  Batches of replications simulate
@@ -22,7 +22,6 @@ __all__ = [
     "ReplicationStreams",
     "PathBatch",
     "sample_paths",
-    "estimate_value",
 ]
 
 # Replications per block: each block's draws come from one child generator.
@@ -192,20 +191,3 @@ def sample_paths(
     parts = map_blocks(fn, block_ranges(reps), workers)
     return PathBatch(*(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(PathBatch)))
 
-
-def estimate_value(
-    model: StoppingModel,
-    theta: float,
-    h0: float,
-    horizon: int,
-    reps: int,
-    streams: ReplicationStreams,
-    workers: int = 1,
-) -> tuple[float, float]:
-    """Mean and standard error of the discounted reward over independent replications."""
-    if reps < 2:
-        raise ValueError("estimate_value needs reps >= 2")
-    batch = sample_paths(model, theta, h0, horizon, reps, streams, workers)
-    mean = float(batch.value.mean())
-    se = float(batch.value.std(ddof=1) / np.sqrt(reps))
-    return mean, se

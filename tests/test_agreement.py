@@ -23,7 +23,6 @@ from test_kernel import ResetKernel
 HORIZON = 200
 REPS = 20_000
 DELTA = 0.01    # finite-difference width
-DTHETA = 1e-3   # oracle_derivative's default step
 SEED_SPA = 5301
 SEED_FD = 5302
 
@@ -57,6 +56,7 @@ _TABLES = dict(lam=0.95, H_D=0.9, h0=0.1, wait=("table", ((0.2, 1.0), (0.7, 0.5)
 @example(**_AUX_DEATH, theta=0.4)
 @example(**_AUX_DEATH, theta=0.7)
 @example(**_TABLES, theta=0.6)
+@example(**_TABLES, theta=0.8)
 @example(**_TABLES, theta=0.05)
 @example(**_TABLES, theta=0.95)
 @given(
@@ -84,14 +84,12 @@ def test_estimators_agree_with_closed_form(lam, H_D, h0, wait, transplant, theta
     spa = spa_estimate(model, theta, h0, HORIZON, REPS, 1, ReplicationStreams(SEED_SPA))
     assert abs(spa.mean - truth) <= 4.0 * spa.se + 1e-9, f"spa {spa.mean} +- {spa.se} vs {truth}"
 
-    # Both checks below are central differences; V' or V'' jumps at these points.
-    clearance = min(abs(theta - k) for k in (h0, H_D, *knots))
-    if clearance >= 2.0 * DELTA:
+    # FD is a central difference; V' or V'' jumps at these points.
+    if min(abs(theta - k) for k in (h0, H_D, *knots)) >= 2.0 * DELTA:
         fd = fd_estimate(model, theta, h0, HORIZON, REPS, DELTA, crn=True, streams=ReplicationStreams(SEED_FD))
         assert abs(fd.mean - truth) <= 4.0 * fd.se + 1e-9, f"fd {fd.mean} +- {fd.se} vs {truth}"
-    if clearance >= 2.0 * DTHETA:
-        oracle = oracle_derivative(model, theta, h0, dtheta=DTHETA, num_nodes=1025)
-        assert abs(oracle - truth) <= 1e-5 * max(1.0, abs(truth)), f"oracle {oracle} vs {truth}"
+    oracle = oracle_derivative(model, theta, h0, num_nodes=1025)
+    assert abs(oracle - truth) <= 1e-5 * max(1.0, abs(truth)), f"oracle {oracle} vs {truth}"
 
 
 @settings(max_examples=4, derandomize=True, deadline=None, database=None)

@@ -27,6 +27,10 @@ grid default `DEFAULT_NODES`), the warm start of `policy_value_sweep` (every
 threshold starts from the transplant values), and the `v_left` argument of
 `GridDynamics.continuation` (the policy sweep carries the jump at the
 threshold on a grid node just below it).
+
+Also removed on purpose: the `dtheta` step of `oracle_derivative` (it solves
+the derivative of the policy fixed point, with no step in theta) and
+`sim.estimate_value` (the mean and standard error of `sample_paths(...).value`).
 """
 
 from __future__ import annotations
@@ -40,8 +44,7 @@ import stopgrad
 
 # Public functions and classes that each module defines.
 MODULES = {
-    "stopgrad.sim": {"PathBatch", "ReplicationStreams", "block_ranges", "estimate_value", "map_blocks",
-                     "sample_paths"},
+    "stopgrad.sim": {"PathBatch", "ReplicationStreams", "block_ranges", "map_blocks", "sample_paths"},
     "stopgrad.estimators": {"DegenerateHazardError", "GradEstimate", "fd_estimate", "ipa_estimate", "spa_estimate"},
     "stopgrad.model": {"AssumptionResult", "ConstantReward", "LinearReward", "StoppingModel",
                        "TabulatedReward", "check_assumptions", "check_ifr"},
@@ -62,7 +65,6 @@ CLASSES = {
 # Parameter names of the public functions, so that a deleted knob cannot come back unnoticed.
 SIGNATURES = {
     "stopgrad.sim.block_ranges": ("reps",),
-    "stopgrad.sim.estimate_value": ("model", "theta", "h0", "horizon", "reps", "streams", "workers"),
     "stopgrad.sim.map_blocks": ("fn", "ranges", "workers"),
     "stopgrad.sim.sample_paths": ("model", "theta", "h0", "horizon", "reps", "streams", "workers"),
     "stopgrad.estimators.fd_estimate": ("model", "theta", "h0", "horizon", "reps", "delta", "crn", "streams",
@@ -72,7 +74,7 @@ SIGNATURES = {
                                          "workers"),
     "stopgrad.dp.extract_control_limit": ("model", "V"),
     "stopgrad.dp.make_grid": ("model", "num_nodes", "extra"),
-    "stopgrad.dp.oracle_derivative": ("model", "theta", "h0", "dtheta", "num_nodes"),
+    "stopgrad.dp.oracle_derivative": ("model", "theta", "h0", "num_nodes"),
     "stopgrad.dp.policy_value": ("model", "theta", "h0", "num_nodes"),
     "stopgrad.dp.policy_value_sweep": ("model", "thetas", "h0", "num_nodes"),
     "stopgrad.dp.value_iterate": ("model", "tol", "max_iter", "num_nodes"),

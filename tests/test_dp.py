@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import derivative_exact, value_exact
+from oracles import derivative_closed_form, derivative_exact, value_exact
 from stopgrad import dp
 from stopgrad.dp import (
     ConvergenceError,
@@ -18,11 +18,45 @@ from stopgrad.dp import (
     policy_value_sweep,
     value_iterate,
 )
-from stopgrad.kernel import DomainError, UniformDeteriorationKernel
-from stopgrad.model import ConstantReward, LinearReward, StoppingModel
-from stopgrad.sim import ReplicationStreams, estimate_value, sample_paths
+from stopgrad.kernel import DomainError, TransitionKernel, UniformDeteriorationKernel
+from stopgrad.model import ConstantReward, LinearReward, StoppingModel, TabulatedReward
+from stopgrad.sim import ReplicationStreams, sample_paths
 
 LAM = 0.97
+
+# Waiting and transplant reward tables, and their knots.
+_TABLES = (TabulatedReward((0.2, 0.7), (1.0, 0.5)), TabulatedReward((0.1, 0.5, 0.8), (9.0, 5.0, 1.0)),
+           (0.2, 0.7, 0.1, 0.5, 0.8))
+
+
+class HalfLiftKernel(TransitionKernel):
+    """Half the mass moves Uniform[h, 1] and half Uniform[max(h, L), 1], so from
+    below L the density jumps at L; from h = 1 the law is a point mass at 1.
+    Only what the DP solvers read is defined."""
+
+    H = 1.0
+
+    def __init__(self, L: float):
+        self.L = L
+
+    def density(self, h_next, h_cur):
+        hn, hc = np.asarray(h_next, dtype=float), np.asarray(h_cur, dtype=float)
+        lift = np.maximum(hc, self.L)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = 0.5 * (hn >= hc) / (1.0 - hc) + 0.5 * (hn >= lift) / (1.0 - lift)
+        return np.where(hc < 1.0, out, 0.0)
+
+    def tail_mass(self, a, h_cur):
+        raise NotImplementedError
+
+    def ppf(self, u, h_cur):
+        raise NotImplementedError
+
+    def density_discontinuities(self, h_cur):
+        return tuple(sorted({float(h_cur), self.L})) if h_cur < 1.0 else ()
+
+    def point_masses(self, h_cur):
+        return ((1.0, 1.0),) if h_cur >= 1.0 else ()
 
 
 @pytest.fixture(scope="module")
@@ -212,14 +246,14 @@ class TestPolicyValue:
 
     def test_monte_carlo_cross_check(self, wsc_model):
         pv = policy_value(wsc_model, 0.5, 0.0)
-        mean, se = estimate_value(wsc_model, 0.5, 0.0, 200, 100_000, ReplicationStreams(2024))
-        assert abs(mean - pv) <= 3.9 * se
+        v = sample_paths(wsc_model, 0.5, 0.0, 200, 100_000, ReplicationStreams(2024)).value
+        assert abs(v.mean() - pv) <= 3.9 * v.std(ddof=1) / math.sqrt(v.size)
 
     def test_monte_carlo_cross_check_with_death(self):
         m = StoppingModel(UniformDeteriorationKernel(), ConstantReward(0.5), LinearReward(8.0, 0.0), H_D=0.6)
         pv = policy_value(m, 0.4, 0.0)
-        mean, se = estimate_value(m, 0.4, 0.0, 200, 100_000, ReplicationStreams(2025))
-        assert abs(mean - pv) <= 3.9 * se
+        v = sample_paths(m, 0.4, 0.0, 200, 100_000, ReplicationStreams(2025)).value
+        assert abs(v.mean() - pv) <= 3.9 * v.std(ddof=1) / math.sqrt(v.size)
 
     def test_nonconvergence_raises(self, wsc_model, monkeypatch):
         monkeypatch.setattr(dp, "_POLICY_MAX_ITER", 3)
@@ -278,15 +312,55 @@ class TestOracleDerivative:
         assert d5 == pytest.approx(-3.0, abs=0.15)
         assert abs(d8) < abs(d2)
 
-    def test_tiny_step_survives_grid_snapping(self, wsc_model):
-        # Both evaluation points become grid nodes, so even a step far below
-        # the node spacing yields the true slope rather than zero.
-        d = oracle_derivative(wsc_model, 0.5, 0.0, dtheta=1e-6, num_nodes=513)
-        assert d == pytest.approx(derivative_exact(0.5, LAM), rel=1e-3)
+    def test_matches_central_difference_of_policy_values(self, wsc_model):
+        # A reference that shares no derivation with the tangent: a central
+        # difference of policy values at theta +/- 5e-4, away from reward knots.
+        m = StoppingModel(UniformDeteriorationKernel(), ConstantReward(0.5), LinearReward(8.0, 0.0), H_D=0.6)
+        for model in (wsc_model, m):
+            for theta in (0.2, 0.5):
+                hi, lo = policy_value_sweep(model, (theta + 5e-4, theta - 5e-4), 0.0)
+                assert oracle_derivative(model, theta, 0.0) == pytest.approx((hi - lo) / 1e-3, rel=1e-5)
+
+    @pytest.mark.parametrize("lam, H_D, c, r, knots, theta, h0", [
+        # Two reward tables, theta on a knot of the transplant table.
+        (0.95, 0.9, *_TABLES, 0.5, 0.0),
+        (0.95, 0.9, *_TABLES, 0.8, 0.0),
+        # theta = H_D and theta = h0: the value does not move with theta.
+        (LAM, 0.6, ConstantReward(0.5), LinearReward(8.0, 0.0), (), 0.6, 0.0),
+        (LAM, 1.0, ConstantReward(0.5), LinearReward(8.0, 0.0), (), 0.3, 0.3),
+    ], ids=["tables-0.5", "tables-0.8", "theta-at-H_D", "theta-at-h0"])
+    def test_matches_closed_form_on_knots_and_boundaries(self, lam, H_D, c, r, knots, theta, h0):
+        m = StoppingModel(UniformDeteriorationKernel(), c, r, H_D=H_D, discount=lam)
+        truth = derivative_closed_form(theta, lam, h0, H_D, c, r, knots)
+        assert abs(oracle_derivative(m, theta, h0) - truth) <= 1e-5 * max(1.0, abs(truth))
+
+    @pytest.mark.parametrize("H_D", [1.0, 0.9])
+    def test_point_mass_on_the_threshold_has_no_derivative(self, H_D):
+        # Every state below 0.5 jumps to exactly 0.5: moving theta across it
+        # switches all of them between waiting and transplanting at once.
+        from test_estimators import StepKernel
+
+        m = StoppingModel(StepKernel(0.5), ConstantReward(0.5), LinearReward(8.0, 0.0), H_D=H_D)
+        with pytest.raises(DomainError, match="point mass"):
+            oracle_derivative(m, 0.5, 0.0)
+
+    def test_density_jump_on_the_threshold_has_no_derivative(self):
+        # From below 0.5 the density jumps at 0.5, so the value has a kink at
+        # theta = 0.5; elsewhere the tangent matches a central difference.
+        m = StoppingModel(HalfLiftKernel(0.5), ConstantReward(0.5), LinearReward(8.0, 0.0), H_D=0.9)
+        with pytest.raises(DomainError, match="density jump"):
+            oracle_derivative(m, 0.5, 0.0)
+        hi, lo = policy_value_sweep(m, (0.3 + 5e-4, 0.3 - 5e-4), 0.0)
+        assert oracle_derivative(m, 0.3, 0.0) == pytest.approx((hi - lo) / 1e-3, rel=1e-5)
 
     def test_domain_validation(self, wsc_model):
-        with pytest.raises(Exception):
-            oracle_derivative(wsc_model, 0.0004, 0.0, dtheta=1e-3)
+        # theta = 0 transplants at once and theta = H never transplants, so
+        # neither value moves with theta; outside [0, H] is an error.
+        assert oracle_derivative(wsc_model, 0.0, 0.0) == 0.0
+        assert oracle_derivative(wsc_model, 1.0, 0.0) == 0.0
+        for theta, h0 in ((-0.1, 0.0), (1.1, 0.0), (0.5, 1.5)):
+            with pytest.raises(DomainError):
+                oracle_derivative(wsc_model, theta, h0)
 
     def test_nonconvergence_propagates(self, wsc_model, monkeypatch):
         monkeypatch.setattr(dp, "_POLICY_MAX_ITER", 2)

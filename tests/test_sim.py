@@ -10,7 +10,6 @@ from stopgrad.model import ConstantReward, LinearReward, StoppingModel
 from stopgrad.sim import (
     ReplicationStreams,
     _paths_from_uniforms,
-    estimate_value,
     map_blocks,
     sample_paths,
 )
@@ -209,9 +208,9 @@ class TestMonotoneCoupling:
 
 class TestEstimateValue:
     def test_zero_threshold_is_deterministic(self, wsc_model):
-        mean, se = estimate_value(wsc_model, 0.0, 0.3, 50, 100, ReplicationStreams(5))
-        assert mean == pytest.approx(8.0 * 0.7)
-        assert se == pytest.approx(0.0, abs=1e-12)
+        v = sample_paths(wsc_model, 0.0, 0.3, 50, 100, ReplicationStreams(5)).value
+        assert v.mean() == pytest.approx(8.0 * 0.7)
+        assert v.std(ddof=1) == pytest.approx(0.0, abs=1e-12)
 
     def test_distinct_reps_give_distinct_paths(self, wsc_model):
         batch = sample_paths(wsc_model, 0.5, 0.0, 200, 64, ReplicationStreams(17))
@@ -230,7 +229,7 @@ class TestEstimateValue:
 
     def test_reps_validation(self, wsc_model):
         with pytest.raises(ValueError):
-            estimate_value(wsc_model, 0.5, 0.0, 10, 1, ReplicationStreams(1))
+            sample_paths(wsc_model, 0.5, 0.0, 10, 0, ReplicationStreams(1))
 
 
 def test_pool_is_no_larger_than_the_block_count(monkeypatch):
