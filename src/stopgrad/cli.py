@@ -281,6 +281,8 @@ def main(argv=None) -> int:
         workers = cfg.run.workers if cfg.run.workers > 0 else (os.cpu_count() or 1)
         streams = ReplicationStreams(cfg.run.seed)
         out = Path(getattr(args, "out", "."))
+        if out.exists() and not out.is_dir():
+            raise ValueError(f"--out {str(out)!r} is a file, not a directory")
         out.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](cfg, model, out, streams, workers, args)
     except ValueError as exc:

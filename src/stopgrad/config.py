@@ -189,7 +189,11 @@ def load_config(path_or_name: str) -> ExperimentConfig:
     """Load a config from a file path or a built-in scenario name."""
     p = Path(path_or_name)
     if p.exists():
-        return parse_config(p.read_text())
+        try:
+            text = p.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError([f"config {path_or_name!r} cannot be read as UTF-8 text: {exc}"]) from exc
+        return parse_config(text)
     if path_or_name in BUILTIN_SCENARIOS:
         text = resources.files("stopgrad").joinpath(f"scenarios/{path_or_name}.ini").read_text()
         return parse_config(text)

@@ -28,11 +28,6 @@ DEFAULT_NODES = 1025   # 2^10 + 1
 
 _EDGE_NUDGE = 1e-9
 
-# Policy evaluation stops at the first sweep that moves every waiting value by
-# less than _POLICY_TOL; running out of sweeps raises ConvergenceError.
-_POLICY_TOL = 1e-10
-_POLICY_MAX_ITER = 50_000
-
 # Slack by which transplanting may trail waiting and still count as optimal.
 _CONTROL_TOL = 1e-8
 
@@ -224,26 +219,20 @@ def extract_control_limit(model: StoppingModel, V: GridValueFunction) -> Control
 
 
 def _policy_fixed_point(dyn: GridDynamics, theta: float, src: np.ndarray, base: np.ndarray) -> np.ndarray:
-    """Solve v = where(wait, src + discount * continuation(v), base) on the
-    grid, starting from base.
+    """Solve v = where(wait, src + discount * continuation(v), base) on the grid
+    by one linear solve over the waiting nodes, which are a prefix of the grid.
 
     Nodes below theta wait and the rest of the living region takes base; a
     theta at or beyond H_D waits on the whole living region, including the H_D
     node's living-side limit.  Policy values take src = c and base = r (0
     beyond H_D); the threshold sensitivity takes the crossing source and
-    base = 0.  Raises ConvergenceError if the sweeps run out.
+    base = 0.  Columns of (nodes, k) src and base share one factorization.
     """
     lam = dyn.model.discount
-    wait = dyn.alive & ((dyn.nodes < theta) | (theta >= dyn.model.H_D))
-    v = base
-    for _ in range(_POLICY_MAX_ITER):
-        new_wait = src + lam * dyn.continuation(v)
-        residual = float(np.abs(new_wait[wait] - v[wait]).max()) if wait.any() else 0.0
-        v = np.where(wait, new_wait, base)
-        if residual < _POLICY_TOL:
-            return v
-    raise ConvergenceError(f"policy evaluation at theta {theta!r} did not converge in {_POLICY_MAX_ITER} sweeps "
-                           f"(residual {residual:.3e})")
+    m = int(np.count_nonzero(dyn.alive & ((dyn.nodes < theta) | (theta >= dyn.model.H_D))))
+    A = -lam * dyn.W[:m, :m]  # I - discount * W over the waiting block, with no full-grid temporary
+    A.flat[:: m + 1] += 1.0
+    return np.concatenate([np.linalg.solve(A, src[:m] + lam * (dyn.W[:m, m:] @ base[m:])), base[m:]])
 
 
 def _check_policy_args(model: StoppingModel, thetas: Sequence[float], h0: float) -> None:
@@ -262,7 +251,7 @@ def policy_value(
     """Expected discounted reward of the threshold policy from h0, solved on a grid.
 
     The threshold is inserted as a grid node so the wait/transplant boundary is
-    honored exactly.  Raises ConvergenceError if policy evaluation does not converge.
+    honored exactly.
 
     Known limit: within about 1e-3 of H the value reads low, because the chance
     of crossing from the last cell below theta changes on a scale of H - theta,
@@ -284,8 +273,7 @@ def policy_value_sweep(
     Each threshold t is a grid node holding the transplant value; for
     0 < t < H_D the node just below t (np.nextafter(t, 0)) is inserted too and
     holds the waiting value, so the jump at t is exact and a point mass on t
-    transplants.  Raises ConvergenceError if policy evaluation does not
-    converge at some threshold.
+    transplants.
     """
     ths = [float(t) for t in thetas]
     _check_policy_args(model, ths, h0)
@@ -318,11 +306,12 @@ def oracle_derivative(
     with src(x) = discount * f(theta | x) * (v(theta-) - r(theta)): the
     discounted density of crossing exactly at theta times the jump of the policy
     value there.  One grid holds theta and the node just below it, which
-    carries v(theta-); the policy values and s are two solves of the same
-    fixed-point loop, with no step in theta.  Returns 0 for theta <= h0 or
-    theta >= H_D, where the value does not depend on theta.  Raises DomainError
-    when a waiting node has a point mass exactly on theta (the value jumps in
-    theta) or a density jump there (the value has a kink in theta).
+    carries v(theta-).  s = (v(theta-) - r(theta)) * u, where u solves the same
+    system with source discount * f(theta | x): the policy values and u are one
+    solve with two right-hand sides.  Returns 0 for theta <= h0 or theta >= H_D,
+    where the value does not depend on theta.  Raises DomainError when a waiting
+    node has a point mass exactly on theta (the value jumps in theta) or a
+    density jump there (the value has a kink in theta).
 
     Known limit: within about 1e-3 of H the policy values read low (see
     `policy_value`), and so does the jump at theta.
@@ -339,7 +328,8 @@ def oracle_derivative(
             raise DomainError(f"the waiting state {h!r} has a point mass or a density jump exactly on theta "
                               f"{theta!r}, where the policy value has no derivative in theta")
     c, r = _raw_rewards(model, x)
-    v = _policy_fixed_point(dyn, theta, c, np.where(dyn.alive, r, 0.0))
+    f = model.discount * np.asarray(model.kernel.density(theta, x), dtype=float)
+    v, u = _policy_fixed_point(dyn, theta, np.stack([c, f], axis=1),
+                               np.stack([np.where(dyn.alive, r, 0.0), np.zeros(x.size)], axis=1)).T
     k = int(np.searchsorted(x, theta))  # the theta node; k - 1 holds the waiting limit
-    src = model.discount * np.asarray(model.kernel.density(theta, x), dtype=float) * (v[k - 1] - r[k])
-    return float(np.interp(h0, x, _policy_fixed_point(dyn, theta, src, np.zeros(x.size))))
+    return float((v[k - 1] - r[k]) * np.interp(h0, x, u))

@@ -7,7 +7,7 @@ standalone Bellman backup.  Their behaviour is covered through the vectorized
 kernels, `value_iterate` and the closed form in `oracles`.
 
 Also removed on purpose: the `PolicyValue` record (policy values are plain
-floats, and non-convergence raises `ConvergenceError`), the `IfrReport` record
+floats), the `IfrReport` record
 (`check_ifr` returns the A3 `AssumptionResult`), `GridValueFunction.tol`, the
 `H` field of `UniformDeteriorationKernel`, and the solver and audit tolerance
 knobs: `tol`/`max_iter` of `policy_value`, `policy_value_sweep` and
@@ -31,6 +31,10 @@ threshold on a grid node just below it).
 Also removed on purpose: the `dtheta` step of `oracle_derivative` (it solves
 the derivative of the policy fixed point, with no step in theta) and
 `sim.estimate_value` (the mean and standard error of `sample_paths(...).value`).
+
+Also removed on purpose: the sweep budget of policy evaluation, `_POLICY_TOL`
+and `_POLICY_MAX_ITER` (policy values and the threshold sensitivity are one
+linear solve, which has no tolerance and cannot run out of sweeps).
 """
 
 from __future__ import annotations
@@ -119,5 +123,6 @@ def test_dp_has_one_grid_default_and_a_one_vector_continuation():
     from stopgrad import dp
 
     assert not hasattr(dp, "ORACLE_NODES")
+    assert not hasattr(dp, "_POLICY_TOL") and not hasattr(dp, "_POLICY_MAX_ITER")
     assert inspect.signature(dp.oracle_derivative).parameters["num_nodes"].default == dp.DEFAULT_NODES
     assert tuple(inspect.signature(dp.GridDynamics.continuation).parameters) == ("self", "v")

@@ -274,17 +274,28 @@ class TestCliSubcommands:
         (("reward_wait = constant 0.5", "reward_wait = table 0:1 0.0001:-1 0.0002:1"), ["check"]),
         (("reward_wait = constant 0.5", "reward_wait = constant inf"), ["gradient", "--theta", "0.5", "--reps", "1000"]),
         (("reward_transplant = linear-decreasing 8.0 0.0", "reward_transplant = table 0:8 nan:4 1:0"), ["check"]),
+        (None, ["check", "--out", "small.ini"]),
     ], ids=["negative-wait-reward", "simulate-theta-5", "spa-theta-0", "fd-theta-0.001", "solve-tol-nan",
             "solve-max-iter-negative", "solve-nodes-1", "check-grid-points-0", "check-grid-points-negative",
             "negative-table-dip",
-            "infinite-wait-reward", "nan-table-abscissa"])
+            "infinite-wait-reward", "nan-table-abscissa", "out-is-a-file"])
     def test_invalid_input_exit_code(self, tmp_path, ini_edit, args):
         (tmp_path / "small.ini").write_text(SMALL_INI.replace(*ini_edit) if ini_edit else SMALL_INI)
         res = run_cli(["--config", "small.ini", "--out", ".", *args], tmp_path)
         assert res.returncode == 2, res.stderr
         assert "Traceback" not in res.stderr
-        if "--grid-points" in args:
-            assert "--grid-points" in res.stderr
+        for flag in ("--grid-points", "--out"):
+            if flag in args:
+                assert flag in res.stderr
+
+    @pytest.mark.parametrize("make", [lambda p: p.mkdir(), lambda p: p.write_bytes(b"\xff\xfe[model]\n")],
+                             ids=["directory", "not-utf8"])
+    def test_unreadable_config_exit_code(self, tmp_path, make):
+        make(tmp_path / "bad.ini")
+        res = run_cli(["--config", "bad.ini", "--out", ".", "check"], tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert "config error:" in res.stderr and "bad.ini" in res.stderr
+        assert "Traceback" not in res.stderr
 
     def test_solve_nonconvergence_exit_code(self, tmp_path):
         res = run_cli(["--out", ".", "solve", "--nodes", "129", "--max-iter", "5"], tmp_path)

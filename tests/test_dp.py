@@ -8,7 +8,6 @@ import pytest
 from oracles import derivative_closed_form, derivative_exact, value_exact
 from stopgrad import dp
 from stopgrad.dp import (
-    ConvergenceError,
     GridDynamics,
     GridValueFunction,
     extract_control_limit,
@@ -241,8 +240,10 @@ class TestPolicyValue:
     def test_matches_closed_form(self, wsc_model, theta):
         assert policy_value(wsc_model, theta, 0.0) == pytest.approx(value_exact(theta, LAM), abs=5e-6)
 
-    def test_never_transplant_is_waiting_perpetuity(self, wsc_model):
-        assert policy_value(wsc_model, 1.0, 0.0) == pytest.approx(0.5 / (1 - LAM), abs=1e-7)
+    @pytest.mark.parametrize("c, lam", [(0.5, LAM), (0.01, 0.9999)], ids=["wsc", "discount-0.9999"])
+    def test_never_transplant_is_waiting_perpetuity(self, c, lam):
+        m = StoppingModel(UniformDeteriorationKernel(), ConstantReward(c), LinearReward(8.0, 0.0), discount=lam)
+        assert policy_value(m, 1.0, 0.0) == pytest.approx(c / (1 - lam), abs=1e-7)
 
     def test_monte_carlo_cross_check(self, wsc_model):
         pv = policy_value(wsc_model, 0.5, 0.0)
@@ -254,11 +255,6 @@ class TestPolicyValue:
         pv = policy_value(m, 0.4, 0.0)
         v = sample_paths(m, 0.4, 0.0, 200, 100_000, ReplicationStreams(2025)).value
         assert abs(v.mean() - pv) <= 3.9 * v.std(ddof=1) / math.sqrt(v.size)
-
-    def test_nonconvergence_raises(self, wsc_model, monkeypatch):
-        monkeypatch.setattr(dp, "_POLICY_MAX_ITER", 3)
-        with pytest.raises(ConvergenceError):
-            policy_value(wsc_model, 1.0, 0.0, num_nodes=129)
 
     def test_sweep_shares_grid_and_matches_single_solves(self, wsc_model):
         thetas = [0.2, 0.8, 1.0]
@@ -299,10 +295,14 @@ class TestPolicyValue:
 
 
 class TestOracleDerivative:
-    @pytest.mark.parametrize("theta", [0.2, 0.5, 0.8])
-    def test_matches_closed_form(self, wsc_model, theta):
-        d = oracle_derivative(wsc_model, theta, 0.0, num_nodes=1025)
-        assert d == pytest.approx(derivative_exact(theta, LAM), rel=2e-4)
+    @pytest.mark.parametrize("theta, lam", [(0.2, LAM), (0.5, LAM), (0.8, LAM),
+                                            (0.2, 0.9999), (0.5, 0.9999), (0.8, 0.9999)],
+                             ids=["0.2", "0.5", "0.8", "0.2-discount-0.9999", "0.5-discount-0.9999",
+                                  "0.8-discount-0.9999"])
+    def test_matches_closed_form(self, theta, lam):
+        m = StoppingModel(UniformDeteriorationKernel(), ConstantReward(0.5), LinearReward(8.0, 0.0), discount=lam)
+        d = oracle_derivative(m, theta, 0.0, num_nodes=1025)
+        assert d == pytest.approx(derivative_exact(theta, lam), rel=2e-4)
 
     def test_pattern_negative_and_ordered(self, wsc_model):
         d2 = oracle_derivative(wsc_model, 0.2, 0.0, num_nodes=1025)
@@ -361,8 +361,3 @@ class TestOracleDerivative:
         for theta, h0 in ((-0.1, 0.0), (1.1, 0.0), (0.5, 1.5)):
             with pytest.raises(DomainError):
                 oracle_derivative(wsc_model, theta, h0)
-
-    def test_nonconvergence_propagates(self, wsc_model, monkeypatch):
-        monkeypatch.setattr(dp, "_POLICY_MAX_ITER", 2)
-        with pytest.raises(ConvergenceError):
-            oracle_derivative(wsc_model, 0.5, 0.0, num_nodes=257)
