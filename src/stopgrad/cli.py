@@ -182,11 +182,12 @@ def optimize_theta(cfg: ExperimentConfig, model: StoppingModel, streams: Replica
     """Stochastic gradient ascent on the threshold with step sizes a/(k+1).
 
     Returns trace rows (k, theta_k, estimate_k, se_k) for each iteration plus a
-    final row holding the terminal theta.  The iterate is clipped into
-    [clip_margin, H - clip_margin] after every step.
+    final row holding the terminal theta.  The iterate is clipped into the
+    living region, [clip_margin, H_D - clip_margin], at the start and after
+    every step: V' is exactly 0 at and above H_D, so no step leaves it.
     """
     opt = cfg.optimize
-    lo, hi = opt.clip_margin, model.H - opt.clip_margin
+    lo, hi = opt.clip_margin, model.H_D - opt.clip_margin
     theta = min(max(opt.theta0, lo), hi)
     rows = []
     for k in range(opt.iterations):
@@ -281,9 +282,10 @@ def main(argv=None) -> int:
         workers = cfg.run.workers if cfg.run.workers > 0 else (os.cpu_count() or 1)
         streams = ReplicationStreams(cfg.run.seed)
         out = Path(getattr(args, "out", "."))
-        if out.exists() and not out.is_dir():
-            raise ValueError(f"--out {str(out)!r} is a file, not a directory")
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ValueError(f"--out {str(out)!r} cannot be made a directory: {exc.strerror}") from None
         return _COMMANDS[args.command](cfg, model, out, streams, workers, args)
     except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)

@@ -265,8 +265,8 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
         e.append("optimize.reps_per_step must be at least 2")
     if not (opt.step_size >= 0.0):
         e.append("optimize.step_size must be nonnegative")
-    if not (0.0 < opt.clip_margin < m.H / 2.0):
-        e.append("optimize.clip_margin must lie in (0, H/2)")
+    if not (0.0 < opt.clip_margin < m.H_D / 2.0):
+        e.append("optimize.clip_margin must lie in (0, H_D/2)")
     try:
         reward_from_spec(m.reward_wait, m.H)
         reward_from_spec(m.reward_transplant, m.H)

@@ -93,16 +93,16 @@ def _spa_block(
     U_aux = streams.uniform_rows(ReplicationStreams.AUX, lo, hi, aux_reps * horizon)
     # Continuation j waits at theta in period M, leaves it with draw
     # U_aux[:, j * horizon] and follows the policy on the next horizon - 1
-    # columns.  Every row of the block is passed, the others with no period to
-    # run, so that the draw columns go in as views rather than copies.
+    # columns; it is valued from its own start, and the sum is discounted once,
+    # by lambda^(M+1).  Every row of the block is passed, the others with no
+    # period to run, so that the draw columns go in as views rather than copies.
     remaining = np.where(crossed, horizon - batch.cross_index - 1, -1)
-    disc1 = batch.disc_at_stop * model.discount
     tail = np.zeros(hi - lo)
     for j in range(aux_reps):
         col = j * horizon
         h1 = model.kernel.ppf(U_aux[:, col], theta)
-        tail = _paths_from_uniforms(model, theta, h1, remaining, U_aux[:, col + 1 : col + horizon], disc1, tail).value
-    tail /= aux_reps
+        tail += _paths_from_uniforms(model, theta, h1, remaining, U_aux[:, col + 1 : col + horizon]).value
+    tail *= batch.disc_at_stop * model.discount / aux_reps
     idx = np.flatnonzero(crossed)
     hz = _hazard(model, theta, batch.h_prev[idx])
     bracket = batch.disc_at_stop[idx] * (model.wait_reward(theta) - model.transplant_reward(theta)) + tail[idx]

@@ -8,6 +8,7 @@ bit-identical for any worker count.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from functools import partial
@@ -102,56 +103,47 @@ def _check_sim_args(model: StoppingModel, theta: float, h0: float, horizon: int)
         raise ValueError("horizon must be nonnegative")
 
 
-def _paths_from_uniforms(model: StoppingModel, theta: float, h0, horizon, U: np.ndarray,
-                         disc0=1.0, value0=0.0) -> PathBatch:
+def _paths_from_uniforms(model: StoppingModel, theta: float, h0, horizon, U: np.ndarray) -> PathBatch:
     """Simulate one path per row of U under the threshold policy.
 
-    Row i starts in state h0[i] with discount disc0[i] and value value0[i], and
-    runs through its period horizon[i]; a scalar argument is shared by every
-    row, and a row with a negative horizon takes no period and keeps value0[i].
-    Periods accrue the waiting reward until the state reaches theta (transplant,
-    terminal reward, path ends; the tie h == theta transplants, which the
-    crossing-event estimator relies on) or enters the death region (path ends,
-    zero rewards).  Row i consumes U[i, k] for its k-th transition, which
-    multiplies its discount by the model's discount factor.
+    Row i starts in state h0[i] and runs through its period horizon[i]; a
+    scalar argument is shared by every row, and a row with a negative horizon
+    takes no period.  A state >= theta is a crossing: the path ends with the
+    terminal reward (the tie h == theta transplants, which the crossing-event
+    estimator relies on), which is 0 when that state is dead.  A dead state
+    below theta ends the path with nothing; every other state accrues the
+    waiting reward.  Row i consumes U[i, k] for its k-th transition.  Rows
+    advance in lockstep, so period k carries the one discount lambda^k.
     """
     rows = U.shape[0]
     h = np.full(rows, h0, dtype=float)
     last = np.broadcast_to(horizon, (rows,))
-    disc = np.full(rows, disc0, dtype=float)
-    value = np.full(rows, value0, dtype=float)
+    value = np.zeros(rows)
     h_prev = np.full(rows, np.nan)
     cross_index = np.full(rows, -1, dtype=np.int64)
     disc_at_stop = np.zeros(rows)
-    died = np.zeros(rows, dtype=bool)
     active = np.flatnonzero(last >= 0)
+    disc = 1.0
     k = 0
     while active.size:
         hk = h[active]
-        dead = hk >= model.H_D
-        if dead.any():
-            died[active[dead]] = True
-            dead_cross = active[dead & (hk >= theta)]
-            cross_index[dead_cross] = k
-            disc_at_stop[dead_cross] = disc[dead_cross]
         # np.compress selects by mask several times faster than boolean indexing.
-        live = np.compress(~dead, active)
-        cross = h[live] >= theta
-        ic = np.compress(cross, live)
+        ic = np.compress(hk >= theta, active)
         if ic.size:
-            value[ic] += disc[ic] * model.transplant_reward(h[ic])
+            value[ic] += disc * model.transplant_reward(h[ic])
             cross_index[ic] = k
-            disc_at_stop[ic] = disc[ic]
-        stay = np.compress(~cross, live)
+            disc_at_stop[ic] = disc
+        stay = np.compress(hk < min(theta, model.H_D), active)
         if stay.size:
-            value[stay] += disc[stay] * model.wait_reward(h[stay])
+            value[stay] += disc * model.wait_reward(h[stay])
         active = np.compress(last[stay] > k, stay)
         if active.size:
             h_prev[active] = h[active]
             h[active] = model.kernel.ppf(U[active, k], h[active])
-            disc[active] *= model.discount
+        disc *= model.discount
         k += 1
-    # A row either transplants or dies at its crossing.
+    # A row ends in its last state: it died iff that state is dead, and then transplants nothing.
+    died = (h >= model.H_D) & (last >= 0)
     stop_index = np.where(died, -1, cross_index)
     return PathBatch(value, stop_index, cross_index, died, h_prev, disc_at_stop)
 
@@ -161,10 +153,11 @@ def block_ranges(reps: int) -> list[tuple[int, int]]:
 
 
 def map_blocks(fn: Callable, ranges: Sequence[tuple[int, int]], workers: int = 1) -> list:
-    """Apply fn(lo, hi) over block ranges, in order; parallel when workers > 1."""
-    if workers <= 1 or len(ranges) <= 1:
+    """Apply fn(lo, hi) over block ranges, in order; at most one process per block and per core."""
+    workers = min(workers, len(ranges), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(lo, hi) for lo, hi in ranges]
-    with ProcessPoolExecutor(max_workers=min(workers, len(ranges))) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, *zip(*ranges)))
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import run_cli
 from stopgrad import ReplicationStreams, sample_paths
+from stopgrad.cli import optimize_theta
 from stopgrad.config import (
     ConfigError,
     ExperimentConfig,
@@ -118,6 +119,8 @@ class TestValidation:
             lambda c: setattr(c.model, "reward_wait", "table 0:1 0.0001:-1 0.0002:1"),
             lambda c: setattr(c.model, "reward_wait", "constant inf"),
             lambda c: setattr(c.model, "reward_transplant", "table 0:8 nan:4 1:0"),
+            # Inside (0, H/2) but not inside the living region's (0, H_D/2).
+            lambda c: (setattr(c.model, "H_D", 0.5), setattr(c.optimize, "clip_margin", 0.25)),
         ],
     )
     def test_rejections(self, mutate):
@@ -275,10 +278,12 @@ class TestCliSubcommands:
         (("reward_wait = constant 0.5", "reward_wait = constant inf"), ["gradient", "--theta", "0.5", "--reps", "1000"]),
         (("reward_transplant = linear-decreasing 8.0 0.0", "reward_transplant = table 0:8 nan:4 1:0"), ["check"]),
         (None, ["check", "--out", "small.ini"]),
+        (None, ["check", "--out", "small.ini/sub"]),
     ], ids=["negative-wait-reward", "simulate-theta-5", "spa-theta-0", "fd-theta-0.001", "solve-tol-nan",
             "solve-max-iter-negative", "solve-nodes-1", "check-grid-points-0", "check-grid-points-negative",
             "negative-table-dip",
-            "infinite-wait-reward", "nan-table-abscissa", "out-is-a-file"])
+            "infinite-wait-reward", "nan-table-abscissa", "out-is-a-file",
+            "out-parent-is-a-file"])
     def test_invalid_input_exit_code(self, tmp_path, ini_edit, args):
         (tmp_path / "small.ini").write_text(SMALL_INI.replace(*ini_edit) if ini_edit else SMALL_INI)
         res = run_cli(["--config", "small.ini", "--out", ".", *args], tmp_path)
@@ -370,3 +375,15 @@ class TestCliSubcommands:
         batch = sample_paths(build_model(cfg), 0.6, 0.0, 3, 200, ReplicationStreams(cfg.run.seed))
         assert 0 < blank.sum() < len(rows)
         np.testing.assert_array_equal(blank, batch.stop_index < 0)
+
+
+def test_optimizer_clips_to_the_living_region():
+    # V' is exactly 0 at and above H_D, so a start at theta0 = H_D would never
+    # move; the iterate starts at H_D - clip_margin instead, and moves from there.
+    cfg = parse_config(SMALL_INI.replace("H_D = 1.0", "H_D = 0.9"))
+    assert cfg.optimize.theta0 == cfg.model.H_D
+    trace = optimize_theta(cfg, build_model(cfg), ReplicationStreams(cfg.run.seed))
+    thetas = [row[1] for row in trace]
+    assert thetas[0] == cfg.model.H_D - cfg.optimize.clip_margin
+    assert len(set(thetas)) > 1
+    assert all(cfg.optimize.clip_margin <= t <= thetas[0] for t in thetas)

@@ -17,6 +17,8 @@ from stopgrad.estimators import (
 from stopgrad.kernel import DomainError, TransitionKernel, UniformDeteriorationKernel
 from stopgrad.model import ConstantReward, LinearReward, StoppingModel
 from stopgrad.sim import ReplicationStreams
+from test_kernel import ResetKernel
+from test_sim import _death_model
 
 LAM = 0.97
 
@@ -122,15 +124,27 @@ class TestSpaSingleRep:
         assert abs(est.mean - expect) <= 4.0 * est.se
 
 
+def _reset_model() -> StoppingModel:
+    # Continuations from theta can fall back below it and wait for several periods.
+    return StoppingModel(ResetKernel(0.3), ConstantReward(0.5), LinearReward(8.0, 0.0), H_D=0.7)
+
+
+_SPA_CASES = [(0.5, 1, 40), (0.8, 3, 25), (0.2, 2, 30), (0.8, 2, 3)]
+
+
 class TestSpaBatch:
-    @pytest.mark.parametrize("theta,aux_reps,horizon", [(0.5, 1, 40), (0.8, 3, 25), (0.2, 2, 30), (0.8, 2, 3)])
-    def test_batch_matches_scalar_reference(self, wsc_model, theta, aux_reps, horizon):
+    # Test ids name the model except on wsc-example, e.g. "0.5-1-40" and "reset-0.5-1-40".
+    @pytest.mark.parametrize("model_name,theta,aux_reps,horizon", [
+        pytest.param(m, *c, id="-".join(map(str, c if m == "wsc" else (m, *c))))
+        for m in ("wsc", "death", "reset") for c in _SPA_CASES])
+    def test_batch_matches_scalar_reference(self, wsc_model, model_name, theta, aux_reps, horizon):
+        model = {"wsc": wsc_model, "death": _death_model(), "reset": _reset_model()}[model_name]
         streams = ReplicationStreams(314)
         n = 400
-        got = _spa_block(wsc_model, theta, 0.0, horizon, aux_reps, streams, 0, n)
+        got = _spa_block(model, theta, 0.0, horizon, aux_reps, streams, 0, n)
         U = streams.uniform_rows(ReplicationStreams.PATH, 0, n, horizon)
         U_aux = streams.uniform_rows(ReplicationStreams.AUX, 0, n, aux_reps * horizon)
-        ref = self._reference(wsc_model, theta, 0.0, horizon, aux_reps, U, U_aux)
+        ref = self._reference(model, theta, 0.0, horizon, aux_reps, U, U_aux)
         np.testing.assert_array_equal(got, ref)
 
     @staticmethod
@@ -146,20 +160,22 @@ class TestSpaBatch:
             disc_m = 1.0
             for _ in range(M):
                 disc_m *= model.discount
+            # Continuation j leaves theta at period M + 1 and is valued from
+            # discount 1 there; the sum is scaled by lambda^(M+1) / aux_reps.
             tail = 0.0
             for j in range(aux_reps):
-                state, disc, t = theta, disc_m, 0
-                for _i in range(M + 1, horizon + 1):
+                state, disc, cont = theta, 1.0, 0.0
+                for t in range(horizon - M):
                     state = float(model.kernel.ppf(U_aux[i, j * horizon + t], state))
-                    t += 1
-                    disc *= model.discount
+                    if state >= theta:
+                        cont += disc * model.transplant_reward(state)  # 0 when dead
+                        break
                     if state >= model.H_D:
                         break
-                    if state >= theta:
-                        tail += disc * model.transplant_reward(state)
-                        break
-                    tail += disc * model.wait_reward(state)
-            tail /= aux_reps
+                    cont += disc * model.wait_reward(state)
+                    disc *= model.discount
+                tail += cont
+            tail *= disc_m * model.discount / aux_reps
             out[i] = hz * (disc_m * (model.wait_reward(theta) - model.transplant_reward(theta)) + tail)
         return out
 

@@ -99,6 +99,9 @@ class TestSimulatePath:
             assert b.value[0] == pytest.approx(0.5)  # only the period-0 wait reward
             if cross == 1:
                 assert b.disc_at_stop[0] == LAM and b.h_prev[0] == 0.0
+        # A row with no period neither crosses nor dies, also from a dead start state.
+        b = _paths_from_uniforms(_death_model(), 0.5, 0.7, -1, U)
+        assert not b.died[0] and b.cross_index[0] == -1 and b.value[0] == 0.0
 
     def test_value_nondecreasing_in_horizon(self, wsc_model):
         U = ReplicationStreams(31).uniform_rows(0, 0, 200, 40)
@@ -137,30 +140,22 @@ class TestSimulatePath:
         assert a.died.any() == (H_D < 1.0)
 
     def test_rows_start_mid_flight(self, wsc_model):
-        # Each row has its own start state, discount, accrued value and horizon;
-        # the path from there is the replayed one, discounted by disc0 and
-        # shifted by value0.  A row with horizon -1 takes no period.
+        # Each row has its own start state and horizon; the path from there is
+        # the replayed one.  A row with horizon -1 takes no period.
         U = ReplicationStreams(39).uniform_rows(0, 0, 6, 12)
         U[5] = np.nan
         h0 = np.array([0.0, 0.3, 0.45, 0.55, 0.2, np.nan])
         horizon = np.array([12, 7, 0, 3, 12, -1])
-        for disc0, value0 in ((1.0, 0.0), (np.array([1.0, 0.5, 0.9, LAM, 0.25, 0.7]),
-                                           np.array([0.0, 1.5, -2.0, 3.0, 0.125, 4.0]))):
-            b = _paths_from_uniforms(wsc_model, 0.5, h0, horizon, U, disc0, value0)
-            d0, v0 = np.broadcast_to(disc0, 6), np.broadcast_to(value0, 6)
-            for i in range(5):
-                _, v, stop, died = replay(wsc_model, 0.5, h0[i], horizon[i], U[i])
-                expect = v0[i] + d0[i] * v
-                if np.isscalar(disc0):
-                    assert b.value[i] == expect
-                else:
-                    assert b.value[i] == pytest.approx(expect, rel=1e-12)
-                assert (b.stop_index[i] if b.stop_index[i] >= 0 else None) == stop
-                assert bool(b.died[i]) == died
-                if stop is not None:
-                    assert b.disc_at_stop[i] == pytest.approx(d0[i] * LAM**stop, rel=1e-12)
-            assert b.value[5] == v0[5]
-            assert b.stop_index[5] == b.cross_index[5] == -1 and not b.died[5]
+        b = _paths_from_uniforms(wsc_model, 0.5, h0, horizon, U)
+        for i in range(5):
+            _, v, stop, died = replay(wsc_model, 0.5, h0[i], horizon[i], U[i])
+            assert b.value[i] == v
+            assert (b.stop_index[i] if b.stop_index[i] >= 0 else None) == stop
+            assert bool(b.died[i]) == died
+            if stop is not None:
+                assert b.disc_at_stop[i] == pytest.approx(LAM**stop, rel=1e-12)
+        assert b.value[5] == 0.0
+        assert b.stop_index[5] == b.cross_index[5] == -1 and not b.died[5]
         assert b.stop_index[2] == -1 and b.stop_index[3] == 0  # horizon 0 waits; h0 >= theta stops at once
 
 
@@ -249,6 +244,14 @@ def test_pool_is_no_larger_than_the_block_count(monkeypatch):
             return map(fn, *iterables)
 
     monkeypatch.setattr(sim, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: 8)
     ranges = [(0, 3), (3, 5)]
     assert map_blocks(lambda lo, hi: (lo, hi), ranges, workers=64) == ranges
     assert sizes == [2]
+    # Nor larger than the core count; with the count unknown the blocks run in this process.
+    ranges = [(0, 3), (3, 5), (5, 6), (6, 9)]
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: 2)
+    assert map_blocks(lambda lo, hi: (lo, hi), ranges, workers=64) == ranges
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: None)
+    assert map_blocks(lambda lo, hi: (lo, hi), ranges, workers=64) == ranges
+    assert sizes == [2, 2]
