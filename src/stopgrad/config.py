@@ -280,13 +280,13 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
     return e
 
 
-def reward_from_spec(spec: str, H: float):
-    """Build a reward function from its config string.
+def reward_from_spec(spec: str, H: float) -> TabulatedReward:
+    """Build a reward table from its config string.
 
     Forms: `constant <v>`, `linear-decreasing <at_zero> <at_H>`,
-    `table <h:v> <h:v> ...` (piecewise-linear interpolation).  A malformed
-    spec, or a value the reward classes reject (negative or non-finite),
-    raises a ConfigError that names the spec.
+    `table <h:v> <h:v> ...` (piecewise-linear interpolation); each is a
+    `TabulatedReward`.  A malformed spec, or a value the table rejects
+    (negative or non-finite), raises a ConfigError that names the spec.
     """
     toks = spec.split()
     if not toks:

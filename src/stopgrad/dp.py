@@ -153,9 +153,7 @@ class ControlLimitResult:
 
 
 def _raw_rewards(model: StoppingModel, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    c = np.asarray(model.reward_wait(nodes), dtype=float)
-    r = np.asarray(model.reward_transplant(nodes), dtype=float)
-    return c, r
+    return model.reward_wait(nodes), model.reward_transplant(nodes)
 
 
 def value_iterate(

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -26,43 +26,11 @@ _NORM_TOL = 1e-8
 _AUDIT_TOL = 1e-9
 
 
-def _check_nonnegative(*ys: float) -> None:
-    """Reject negative or non-finite reward values.  Each reward form below
-    interpolates linearly between its values, so the check is exact."""
-    if not all(0.0 <= y < np.inf for y in ys):
-        raise ValueError("reward values must be finite and nonnegative")
-
-
-@dataclass(frozen=True)
-class ConstantReward:
-    value: float
-
-    def __post_init__(self):
-        _check_nonnegative(self.value)
-
-    def __call__(self, h):
-        return np.full_like(np.asarray(h, dtype=float), self.value) if np.ndim(h) else float(self.value)
-
-
-@dataclass(frozen=True)
-class LinearReward:
-    """Linear in the health state: at_zero at h=0, at_H at h=H."""
-
-    at_zero: float
-    at_H: float
-    H: float = 1.0
-
-    def __post_init__(self):
-        _check_nonnegative(self.at_zero, self.at_H)
-
-    def __call__(self, h):
-        out = self.at_zero + (self.at_H - self.at_zero) * np.asarray(h, dtype=float) / self.H
-        return float(out) if np.ndim(h) == 0 else out
-
-
 @dataclass(frozen=True)
 class TabulatedReward:
-    """Piecewise-linear interpolation of tabulated (health, reward) pairs."""
+    """The one reward type: piecewise-linear interpolation of tabulated (health, reward) pairs,
+    constant beyond the end knots.  Values must be finite and nonnegative; since the table
+    interpolates linearly between them, the check is exact."""
 
     xs: tuple[float, ...]
     ys: tuple[float, ...]
@@ -74,20 +42,29 @@ class TabulatedReward:
             raise ValueError("tabulated reward abscissae must be finite")
         if np.any(np.diff(self.xs) <= 0.0):
             raise ValueError("tabulated reward abscissae must be strictly increasing")
-        _check_nonnegative(*self.ys)
+        if not all(0.0 <= y < np.inf for y in self.ys):
+            raise ValueError("reward values must be finite and nonnegative")
 
     def __call__(self, h):
         out = np.interp(np.asarray(h, dtype=float), self.xs, self.ys)
         return float(out) if np.ndim(h) == 0 else out
 
 
-RewardFn = Callable[[object], object]
+def ConstantReward(value: float) -> TabulatedReward:
+    """The table that equals `value` everywhere."""
+    return TabulatedReward((0.0, 1.0), (value, value))
+
+
+def LinearReward(at_zero: float, at_H: float, H: float = 1.0) -> TabulatedReward:
+    """The table that is linear in the health state: at_zero at h=0, at_H at h=H."""
+    return TabulatedReward((0.0, H), (at_zero, at_H))
 
 
 @dataclass(frozen=True)
 class StoppingModel:
-    """Immutable MDP instance: bounds, discount, rewards, and the waiting kernel.
+    """Immutable MDP instance: bounds, discount, reward tables, and the waiting kernel.
 
+    Both rewards must be `TabulatedReward`s; anything else raises TypeError.
     `H_D` is the death threshold: states in [H_D, H] are absorbing with zero reward
     for either action.  With H_D == H the death region degenerates to the single
     absorbing endpoint.  The discount may equal 1 for finite-horizon simulation;
@@ -95,26 +72,18 @@ class StoppingModel:
     """
 
     kernel: TransitionKernel
-    reward_wait: RewardFn
-    reward_transplant: RewardFn
+    reward_wait: TabulatedReward
+    reward_transplant: TabulatedReward
     H_D: float = 1.0
     discount: float = 0.97
-    wait_sup: float = field(init=False, repr=False, default=0.0)
-    transplant_sup: float = field(init=False, repr=False, default=0.0)
 
     def __post_init__(self):
         if not (0.0 < self.H_D <= self.H):
             raise ValueError("H_D must lie in (0, H]")
         if not (0.0 < self.discount <= 1.0):
             raise ValueError("discount must lie in (0, 1]")
-        # The reward classes check their own values exactly; other callables only on this grid.
-        grid = np.linspace(0.0, self.H, 2049)
-        c = np.asarray(self.reward_wait(grid), dtype=float)
-        r = np.asarray(self.reward_transplant(grid), dtype=float)
-        if not (np.all((0.0 <= c) & (c < np.inf)) and np.all((0.0 <= r) & (r < np.inf))):
-            raise ValueError("reward functions must be finite and nonnegative on [0, H]")
-        object.__setattr__(self, "wait_sup", float(c.max()))
-        object.__setattr__(self, "transplant_sup", float(r.max()))
+        if not (isinstance(self.reward_wait, TabulatedReward) and isinstance(self.reward_transplant, TabulatedReward)):
+            raise TypeError("rewards must be TabulatedReward tables")
 
     @property
     def H(self) -> float:
@@ -123,20 +92,21 @@ class StoppingModel:
 
     @property
     def value_bound(self) -> float:
-        """Upper bound max(sup c, sup r) / (1 - discount) on any discounted value."""
-        g = max(self.wait_sup, self.transplant_sup)
+        """Upper bound on any discounted value: the largest value of either reward table
+        over (1 - discount), infinite at discount 1."""
+        g = max(*self.reward_wait.ys, *self.reward_transplant.ys)
         return float("inf") if self.discount >= 1.0 else g / (1.0 - self.discount)
 
     def wait_reward(self, h):
         """One-period waiting reward, zero on the death region."""
         hv = _check_state(h, self.H, "health state")
-        out = np.where(hv >= self.H_D, 0.0, np.asarray(self.reward_wait(hv), dtype=float))
+        out = np.where(hv >= self.H_D, 0.0, self.reward_wait(hv))
         return float(out) if np.ndim(h) == 0 else out
 
     def transplant_reward(self, h):
         """Terminal transplant reward, zero on the death region."""
         hv = _check_state(h, self.H, "health state")
-        out = np.where(hv >= self.H_D, 0.0, np.asarray(self.reward_transplant(hv), dtype=float))
+        out = np.where(hv >= self.H_D, 0.0, self.reward_transplant(hv))
         return float(out) if np.ndim(h) == 0 else out
 
     def truncation_bound(self, horizon: int) -> float:
@@ -208,8 +178,7 @@ def check_assumptions(model: StoppingModel, grid: Sequence[float] | None = None)
     results = []
 
     # A1: both reward functions continuous and nonincreasing (nonincreasing audited).
-    c = np.asarray(model.reward_wait(g), dtype=float)
-    r = np.asarray(model.reward_transplant(g), dtype=float)
+    c, r = model.reward_wait(g), model.reward_transplant(g)
     results.append(_verdict("A1", np.diff(np.stack([c, r])), lambda k, i: (float(g[i]), float(g[i + 1])),
                             lambda k, i: f"{('wait', 'transplant')[k]} reward increases on the grid"))
 

@@ -35,6 +35,13 @@ the derivative of the policy fixed point, with no step in theta) and
 Also removed on purpose: the sweep budget of policy evaluation, `_POLICY_TOL`
 and `_POLICY_MAX_ITER` (policy values and the threshold sensitivity are one
 linear solve, which has no tolerance and cannot run out of sweeps).
+
+Also removed on purpose: the `ConstantReward` and `LinearReward` classes (they are
+now functions that return the equivalent two-knot `TabulatedReward`), plain
+callables as rewards (`StoppingModel` raises TypeError for anything but a
+`TabulatedReward`), `StoppingModel.wait_sup`/`transplant_sup` (`value_bound`
+reads the tables' largest value), and the check of reward callables at 2049
+points of `[0, H]` (a table checks its values exactly).
 """
 
 from __future__ import annotations
@@ -62,8 +69,7 @@ MODULES = {
 CLASSES = {
     "ReplicationStreams": {"ALT", "AUX", "PATH", "child", "domain", "uniform_rows"},
     "TransitionKernel": {"H", "density", "density_discontinuities", "point_masses", "ppf", "tail_mass"},
-    "StoppingModel": {"H", "H_D", "discount", "transplant_reward", "transplant_sup", "truncation_bound",
-                      "value_bound", "wait_reward", "wait_sup"},
+    "StoppingModel": {"H", "H_D", "discount", "transplant_reward", "truncation_bound", "value_bound", "wait_reward"},
 }
 
 # Parameter names of the public functions, so that a deleted knob cannot come back unnoticed.
@@ -82,6 +88,8 @@ SIGNATURES = {
     "stopgrad.dp.policy_value": ("model", "theta", "h0", "num_nodes"),
     "stopgrad.dp.policy_value_sweep": ("model", "thetas", "h0", "num_nodes"),
     "stopgrad.dp.value_iterate": ("model", "tol", "max_iter", "num_nodes"),
+    "stopgrad.model.ConstantReward": ("value",),
+    "stopgrad.model.LinearReward": ("at_zero", "at_H", "H"),
     "stopgrad.model.check_assumptions": ("model", "grid"),
     "stopgrad.model.check_ifr": ("kernel", "grid"),
 }

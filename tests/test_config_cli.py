@@ -20,6 +20,7 @@ from stopgrad.config import (
     to_ini,
     validate_config,
 )
+from stopgrad.model import TabulatedReward
 
 SMALL_INI = """\
 [model]
@@ -148,6 +149,14 @@ class TestRewardSpecs:
     def test_table(self):
         r = reward_from_spec("table 0:8 0.5:4 1:0", 1.0)
         assert r(0.25) == pytest.approx(6.0)
+
+    @pytest.mark.parametrize("spec, xs, ys", [
+        ("constant 0.5", (0.0, 1.0), (0.5, 0.5)),
+        ("linear-decreasing 8.0 0.0", (0.0, 1.0), (8.0, 0.0)),
+        ("table 0:8 0.5:4 1:0", (0.0, 0.5, 1.0), (8.0, 4.0, 0.0)),
+    ], ids=["constant", "linear-decreasing", "table"])
+    def test_every_form_is_a_table(self, spec, xs, ys):
+        assert reward_from_spec(spec, 1.0) == TabulatedReward(xs, ys)
 
     @pytest.mark.parametrize("bad", ["", "constant", "linear-decreasing 1", "exotic 1 2", "table 0:1"])
     def test_malformed(self, bad):

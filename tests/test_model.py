@@ -90,15 +90,19 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             StoppingModel(UniformDeteriorationKernel(), ConstantReward(-1.0), ConstantReward(1.0))
 
-    def test_non_finite_callable_rejected(self):
-        # A plain callable is checked only on the model's 2049 points.
-        with pytest.raises(ValueError, match="finite"):
-            StoppingModel(UniformDeteriorationKernel(), lambda h: np.full_like(h, np.inf), ConstantReward(1.0))
+    @pytest.mark.parametrize("slot", ["wait", "transplant"])
+    def test_plain_callable_rejected(self, slot):
+        rewards = {"wait": ConstantReward(0.5), "transplant": ConstantReward(1.0), slot: lambda h: 0.0 * h}
+        with pytest.raises(TypeError):
+            StoppingModel(UniformDeteriorationKernel(), rewards["wait"], rewards["transplant"])
 
-    def test_sup_bounds_and_value_bound(self, wsc_model):
-        assert wsc_model.wait_sup == pytest.approx(0.5)
-        assert wsc_model.transplant_sup == pytest.approx(8.0)
+    def test_value_bound(self, wsc_model):
         assert wsc_model.value_bound == pytest.approx(8.0 / 0.03)
+
+    def test_value_bound_reads_a_peak_between_grid_points(self):
+        peak = TabulatedReward((0.0, 0.30001, 1.0), (1.0, 5.0, 0.0))
+        m = StoppingModel(UniformDeteriorationKernel(), ConstantReward(0.0), peak)
+        assert m.value_bound == 5.0 / (1.0 - m.discount)
 
     def test_truncation_bound(self, wsc_model):
         assert wsc_model.truncation_bound(200) == pytest.approx(0.97**201 * 8.0 / 0.03)
@@ -123,7 +127,7 @@ class TestRewardForms:
         lambda: ConstantReward(float("inf")),
     ], ids=["table-dip", "constant", "linear-end", "constant-nan", "constant-inf"])
     def test_negative_values_rejected(self, make):
-        # The dip of the table lies between the model's 2049 check points.
+        # The table's values are checked exactly, so a dip between coarse grid points is caught.
         with pytest.raises(ValueError, match="nonnegative"):
             make()
 
