@@ -216,28 +216,51 @@ def extract_control_limit(model: StoppingModel, V: GridValueFunction) -> Control
     return ControlLimitResult(theta_star, holes.size == 0, tuple(float(V.nodes[k]) for k in holes[:10]))
 
 
+def _waiting_nodes(dyn: GridDynamics, theta: float) -> int:
+    """Number of waiting nodes, which are a prefix of the grid.
+
+    Nodes below theta wait and the rest of the living region takes the
+    transplant value; a theta at or beyond H_D waits on the whole living
+    region, including the H_D node's living-side limit.
+    """
+    return int(np.count_nonzero(dyn.alive & ((dyn.nodes < theta) | (theta >= dyn.model.H_D))))
+
+
 def _policy_fixed_point(dyn: GridDynamics, theta: float, src: np.ndarray, base: np.ndarray) -> np.ndarray:
     """Solve v = where(wait, src + discount * continuation(v), base) on the grid
-    by one linear solve over the waiting nodes, which are a prefix of the grid.
+    by one linear solve over the waiting nodes (`_waiting_nodes`).
 
-    Nodes below theta wait and the rest of the living region takes base; a
-    theta at or beyond H_D waits on the whole living region, including the H_D
-    node's living-side limit.  Policy values take src = c and base = r (0
-    beyond H_D); the threshold sensitivity takes the crossing source and
-    base = 0.  Columns of (nodes, k) src and base share one factorization.
+    Policy values take src = c and base = r (0 beyond H_D); the threshold
+    sensitivity takes the crossing source and base = 0.  Columns of (nodes, k)
+    src and base share one factorization.
     """
     lam = dyn.model.discount
-    m = int(np.count_nonzero(dyn.alive & ((dyn.nodes < theta) | (theta >= dyn.model.H_D))))
+    m = _waiting_nodes(dyn, theta)
     A = -lam * dyn.W[:m, :m]  # I - discount * W over the waiting block, with no full-grid temporary
     A.flat[:: m + 1] += 1.0
     return np.concatenate([np.linalg.solve(A, src[:m] + lam * (dyn.W[:m, m:] @ base[m:])), base[m:]])
 
 
-def _check_policy_args(model: StoppingModel, thetas: Sequence[float], h0: float) -> None:
+def _policy_sweeps(dyn: GridDynamics, theta: float, src: np.ndarray, base: np.ndarray, horizon: int) -> np.ndarray:
+    """Backward induction: from v = where(wait, src, base), apply `horizon` sweeps of
+    v = where(wait, src + discount * continuation(v), base), the finite-horizon
+    counterpart of `_policy_fixed_point` for paths that run periods 0 ... horizon."""
+    lam = dyn.model.discount
+    m = _waiting_nodes(dyn, theta)
+    v = np.concatenate([src[:m], base[m:]])
+    for _ in range(horizon):
+        v[:m] = src[:m] + lam * (dyn.W[:m] @ v)
+    return v
+
+
+def _check_policy_args(model: StoppingModel, thetas: Sequence[float], h0: float, horizon: int | None) -> None:
     if not all(0.0 <= t <= model.H for t in thetas) or not (0.0 <= h0 <= model.H):
         raise DomainError("theta and h0 must lie in [0, H]")
-    if model.discount >= 1.0:
-        raise ValueError("infinite-horizon policy evaluation requires discount < 1")
+    if horizon is None:
+        if model.discount >= 1.0:
+            raise ValueError("infinite-horizon policy evaluation requires discount < 1")
+    elif horizon < 0:
+        raise ValueError("horizon must be nonnegative")
 
 
 def policy_value(
@@ -265,23 +288,26 @@ def policy_value_sweep(
     thetas: Sequence[float],
     h0: float,
     num_nodes: int = DEFAULT_NODES,
+    horizon: int | None = None,
 ) -> list[float]:
     """Policy values over a list of thresholds on one shared grid.
 
     Each threshold t is a grid node holding the transplant value; for
     0 < t < H_D the node just below t (np.nextafter(t, 0)) is inserted too and
     holds the waiting value, so the jump at t is exact and a point mass on t
-    transplants.
+    transplants.  With `horizon` None the value is the infinite-horizon one;
+    a finite horizon N values paths that run periods 0 ... N, as the simulator
+    does, by N backward-induction sweeps, and then the discount may be 1.
     """
     ths = [float(t) for t in thetas]
-    _check_policy_args(model, ths, h0)
+    _check_policy_args(model, ths, h0, horizon)
     below = [np.nextafter(t, 0.0) for t in ths if 0.0 < t < model.H_D]
     dyn = GridDynamics(model, make_grid(model, num_nodes, extra=ths + below))
     c, r = _raw_rewards(model, dyn.nodes)
     base = np.where(dyn.alive, r, 0.0)
     out: list[float] = []
     for t in ths:
-        v = _policy_fixed_point(dyn, t, c, base)
+        v = _policy_fixed_point(dyn, t, c, base) if horizon is None else _policy_sweeps(dyn, t, c, base, horizon)
         if h0 >= model.H_D:
             out.append(0.0)
         elif h0 >= t:
@@ -296,6 +322,7 @@ def oracle_derivative(
     theta: float,
     h0: float,
     num_nodes: int = DEFAULT_NODES,
+    horizon: int | None = None,
 ) -> float:
     """Derivative of the policy value in the threshold, by differentiating the
     policy fixed point (Cao's performance-derivative form).
@@ -306,7 +333,11 @@ def oracle_derivative(
     value there.  One grid holds theta and the node just below it, which
     carries v(theta-).  s = (v(theta-) - r(theta)) * u, where u solves the same
     system with source discount * f(theta | x): the policy values and u are one
-    solve with two right-hand sides.  Returns 0 for theta <= h0 or theta >= H_D,
+    solve with two right-hand sides.  A finite `horizon` N differentiates the
+    N backward-induction sweeps of `policy_value_sweep` instead: the tangent
+    s_n = src_n + discount * E[s_{n-1}(h') 1{h' < theta}], s_0 = 0, takes its
+    jump from the previous sweep's waiting value at theta-.  Returns 0 for
+    theta <= h0 or theta >= H_D,
     where the value does not depend on theta.  Raises DomainError when a waiting
     node has a point mass exactly on theta (the value jumps in theta) or a
     density jump there (the value has a kink in theta).
@@ -315,7 +346,7 @@ def oracle_derivative(
     `policy_value`), and so does the jump at theta.
     """
     theta = float(theta)
-    _check_policy_args(model, (theta,), h0)
+    _check_policy_args(model, (theta,), h0, horizon)
     if theta <= h0 or theta >= model.H_D:
         return 0.0
     dyn = GridDynamics(model, make_grid(model, num_nodes, extra=(theta, np.nextafter(theta, 0.0))))
@@ -327,7 +358,15 @@ def oracle_derivative(
                               f"{theta!r}, where the policy value has no derivative in theta")
     c, r = _raw_rewards(model, x)
     f = model.discount * np.asarray(model.kernel.density(theta, x), dtype=float)
-    v, u = _policy_fixed_point(dyn, theta, np.stack([c, f], axis=1),
-                               np.stack([np.where(dyn.alive, r, 0.0), np.zeros(x.size)], axis=1)).T
-    k = int(np.searchsorted(x, theta))  # the theta node; k - 1 holds the waiting limit
-    return float((v[k - 1] - r[k]) * np.interp(h0, x, u))
+    k = int(np.searchsorted(x, theta))  # the theta node, and the count of waiting nodes; k - 1 holds the waiting limit
+    base = np.where(dyn.alive, r, 0.0)
+    if horizon is None:
+        v, u = _policy_fixed_point(dyn, theta, np.stack([c, f], axis=1), np.stack([base, np.zeros(x.size)], axis=1)).T
+        return float((v[k - 1] - r[k]) * np.interp(h0, x, u))
+    # Backward induction over the waiting block with its tangent; s_n reads v_{n-1}(theta-).
+    lam, W = model.discount, dyn.W[:k, :k]
+    src = c[:k] + lam * (dyn.W[:k, k:] @ base[k:])
+    v, s = c[:k], np.zeros(k)
+    for _ in range(horizon):
+        v, s = src + lam * (W @ v), f[:k] * (v[k - 1] - r[k]) + lam * (W @ s)
+    return float(np.interp(h0, x[:k], s))

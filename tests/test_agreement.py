@@ -5,7 +5,7 @@ deterioration with any discount, death threshold H_D, start state h0 and
 constant, linear or tabulated rewards.  `oracles.derivative_closed_form` is the
 reference; it imports nothing from the package.  The second test moves to
 `ResetKernel`, where a continuation from theta can fall back below it and wait,
-and takes the DP oracle as the reference.
+and takes the finite-horizon DP oracle as the reference, at horizons from 1 up.
 """
 
 from __future__ import annotations
@@ -92,21 +92,27 @@ def test_estimators_agree_with_closed_form(lam, H_D, h0, wait, transplant, theta
     assert abs(oracle - truth) <= 1e-5 * max(1.0, abs(truth)), f"oracle {oracle} vs {truth}"
 
 
-@settings(max_examples=4, derandomize=True, deadline=None, database=None)
-@example(p=0.3, H_D=1.0, frac=0.5)
-@example(p=0.3, H_D=0.7, frac=0.6)
+@settings(max_examples=8, derandomize=True, deadline=None, database=None)
+@example(p=0.3, H_D=1.0, frac=0.5, horizon=HORIZON)
+@example(p=0.3, H_D=0.7, frac=0.6, horizon=HORIZON)
+@example(p=0.3, H_D=0.7, frac=0.6, horizon=1)
+@example(p=0.3, H_D=0.7, frac=0.6, horizon=2)
+@example(p=0.5, H_D=1.0, frac=0.5, horizon=3)
 @given(
     p=st.integers(4, 10).map(lambda k: k / 20),
     H_D=st.integers(60, 100).map(lambda k: k / 100),
     frac=st.integers(15, 90).map(lambda k: k / 100),
+    horizon=st.one_of(st.integers(1, 10), st.just(HORIZON)),
 )
-def test_estimators_agree_with_oracle_when_continuations_wait(p, H_D, frac):
-    # theta lies at least 2 * DELTA inside (h0, H_D), where V'' is smooth.
+def test_estimators_agree_with_oracle_when_continuations_wait(p, H_D, frac, horizon):
+    # theta lies at least 2 * DELTA inside (h0, H_D), where V'' is smooth.  At
+    # horizon 1 every crossing is in the last period; at horizon 2 a
+    # continuation that falls below theta is valued in the last period.
     theta = round(frac * H_D, 4)
     model = StoppingModel(ResetKernel(p), ConstantReward(0.5), LinearReward(8.0, 0.0), H_D=H_D)
-    truth = oracle_derivative(model, theta, 0.0, num_nodes=1025)
+    truth = oracle_derivative(model, theta, 0.0, num_nodes=1025, horizon=horizon)
     for aux_reps in (1, 3):
-        spa = spa_estimate(model, theta, 0.0, HORIZON, REPS, aux_reps, ReplicationStreams(SEED_SPA))
+        spa = spa_estimate(model, theta, 0.0, horizon, REPS, aux_reps, ReplicationStreams(SEED_SPA))
         assert abs(spa.mean - truth) <= 4.0 * spa.se, f"spa({aux_reps}) {spa.mean} +- {spa.se} vs {truth}"
-    fd = fd_estimate(model, theta, 0.0, HORIZON, REPS, DELTA, crn=True, streams=ReplicationStreams(SEED_FD))
+    fd = fd_estimate(model, theta, 0.0, horizon, REPS, DELTA, crn=True, streams=ReplicationStreams(SEED_FD))
     assert abs(fd.mean - truth) <= 4.0 * fd.se, f"fd {fd.mean} +- {fd.se} vs {truth}"

@@ -84,9 +84,9 @@ SIGNATURES = {
                                          "workers"),
     "stopgrad.dp.extract_control_limit": ("model", "V"),
     "stopgrad.dp.make_grid": ("model", "num_nodes", "extra"),
-    "stopgrad.dp.oracle_derivative": ("model", "theta", "h0", "num_nodes"),
+    "stopgrad.dp.oracle_derivative": ("model", "theta", "h0", "num_nodes", "horizon"),
     "stopgrad.dp.policy_value": ("model", "theta", "h0", "num_nodes"),
-    "stopgrad.dp.policy_value_sweep": ("model", "thetas", "h0", "num_nodes"),
+    "stopgrad.dp.policy_value_sweep": ("model", "thetas", "h0", "num_nodes", "horizon"),
     "stopgrad.dp.value_iterate": ("model", "tol", "max_iter", "num_nodes"),
     "stopgrad.model.ConstantReward": ("value",),
     "stopgrad.model.LinearReward": ("at_zero", "at_H", "H"),

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import derivative_closed_form, derivative_exact, value_exact
+from oracles import derivative_closed_form, derivative_exact, two_period_derivative, value_exact
 from stopgrad import dp
 from stopgrad.dp import (
     GridDynamics,
@@ -361,3 +361,47 @@ class TestOracleDerivative:
         for theta, h0 in ((-0.1, 0.0), (1.1, 0.0), (0.5, 1.5)):
             with pytest.raises(DomainError):
                 oracle_derivative(wsc_model, theta, h0)
+
+
+class TestFiniteHorizon:
+    def test_short_horizons_in_closed_form(self, wsc_model):
+        # Horizon 0 takes c(h0) and no transition.  At horizon 1 from h0 = 0 the
+        # value is c + lambda (int_theta^1 r + theta c), whose derivative is lambda (c - r(theta)).
+        assert policy_value_sweep(wsc_model, (0.5,), 0.0, horizon=0) == [0.5]
+        assert oracle_derivative(wsc_model, 0.5, 0.0, horizon=0) == 0.0
+        v1 = 0.5 + LAM * (8.0 * 0.5 ** 2 / 2 + 0.5 * 0.5)
+        assert policy_value_sweep(wsc_model, (0.5,), 0.0, horizon=1)[0] == pytest.approx(v1, abs=1e-9)
+        assert oracle_derivative(wsc_model, 0.5, 0.0, horizon=1) == pytest.approx(LAM * (0.5 - 4.0), abs=1e-9)
+
+    def test_horizon_two_matches_quadrature(self, wsc_model):
+        d = oracle_derivative(wsc_model, 0.5, 0.0, horizon=2)
+        assert d == pytest.approx(two_period_derivative(0.5, LAM), abs=1e-5)
+
+    def test_long_horizon_meets_the_infinite_one(self, wsc_model):
+        for theta in (0.2, 0.5):
+            assert policy_value_sweep(wsc_model, (theta,), 0.0, horizon=1000)[0] == pytest.approx(
+                policy_value(wsc_model, theta, 0.0), abs=1e-9)
+            assert oracle_derivative(wsc_model, theta, 0.0, horizon=1000) == pytest.approx(
+                oracle_derivative(wsc_model, theta, 0.0), abs=1e-9)
+
+    @pytest.mark.parametrize("horizon", [1, 2, 5])
+    def test_tangent_matches_central_difference(self, horizon):
+        from test_kernel import ResetKernel
+
+        m = StoppingModel(ResetKernel(0.3), ConstantReward(0.5), LinearReward(8.0, 0.0), H_D=0.7)
+        hi, lo = policy_value_sweep(m, (0.4 + 5e-4, 0.4 - 5e-4), 0.0, horizon=horizon)
+        assert oracle_derivative(m, 0.4, 0.0, horizon=horizon) == pytest.approx((hi - lo) / 1e-3, rel=1e-5)
+
+    def test_monte_carlo_cross_check_at_unit_discount(self):
+        m = StoppingModel(UniformDeteriorationKernel(), ConstantReward(0.5), LinearReward(8.0, 0.0), discount=1.0)
+        pv = policy_value_sweep(m, (0.5,), 0.0, horizon=3)[0]
+        v = sample_paths(m, 0.5, 0.0, 3, 100_000, ReplicationStreams(2026)).value
+        assert abs(v.mean() - pv) <= 3.9 * v.std(ddof=1) / math.sqrt(v.size)
+
+    def test_validates_its_horizon(self, wsc_model):
+        for fn, arg in ((policy_value_sweep, (0.5,)), (oracle_derivative, 0.5)):
+            with pytest.raises(ValueError, match="horizon"):
+                fn(wsc_model, arg, 0.0, num_nodes=65, horizon=-1)
+        unit = StoppingModel(UniformDeteriorationKernel(), ConstantReward(0.5), LinearReward(8.0, 0.0), discount=1.0)
+        with pytest.raises(ValueError, match="discount"):
+            oracle_derivative(unit, 0.5, 0.0, num_nodes=65)
