@@ -237,7 +237,9 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--delta", type=float, default=None)
     g.add_argument("--crn", dest="crn", action="store_true", default=None)
     g.add_argument("--no-crn", dest="crn", action="store_false")
-    g.add_argument("--aux-reps", type=int, default=None)
+    g.add_argument("--aux-reps", type=int, default=None,
+                   help="spa auxiliary subpaths per replication; they change the estimate only for "
+                        "kernels that can move below the current state, which uniform-deterioration cannot")
     g.add_argument("--horizon", type=int, default=None)
 
     sub.add_parser("sweep", parents=[common],

@@ -5,11 +5,19 @@ Three routes to d V(theta) / d theta:
 * crossing-event estimator (`spa_*`): conditions on the period M where the path
   first reaches the threshold, weights by the hazard of landing exactly at
   theta, and multiplies the bracket
-      lambda^M (c(theta) - r(theta)) + E[continuation from theta],
-  estimating the continuation with auxiliary subpaths.  Note the bracket's
-  sign: some write-ups state the negated form (r - c) - E[tail]; the form used
-  here is the one that matches the derivative of the simulated value, which
-  the test suite pins against the dynamic-programming oracle.
+      lambda^M (c(theta) - r(theta)) + E[continuation from theta].
+  The continuation waits at theta and moves once, to h' ~ K(.|theta).  Its
+  expectation is conditioned on that step (conditional Monte Carlo):
+      lambda^(M+1) [A(theta) + p_below W],
+  where A(theta) = E[r(h') 1{theta <= h' < H_D}] is one quadrature per call,
+  p_below = P(h' < theta), and W averages `aux_reps` auxiliary subpaths, each
+  started below theta by inverse CDF and run under the policy to the horizon.
+  A crossing in the last period has no continuation.  For kernels that never
+  move below the current state p_below is 0: no auxiliary draw is made, the
+  bracket is one number per M, and `aux_reps` changes nothing.  Note the
+  bracket's sign: some write-ups state the negated form (r - c) - E[tail]; the
+  form used here is the one that matches the derivative of the simulated
+  value, which the test suite pins against the dynamic-programming oracle.
 * symmetric finite differences (`fd_estimate`), optionally with common random
   numbers across the two evaluation points;
 * the pathwise estimator (`ipa_estimate`), identically zero here because a
@@ -24,7 +32,7 @@ from functools import partial
 
 import numpy as np
 
-from .kernel import DomainError
+from .kernel import DomainError, integrate_density
 from .model import StoppingModel
 from .sim import ReplicationStreams, _check_sim_args, _paths_from_uniforms, block_ranges, map_blocks
 
@@ -72,6 +80,25 @@ def _hazard(model: StoppingModel, theta: float, h_prev: np.ndarray) -> np.ndarra
     return dens / tail
 
 
+def _first_step(model: StoppingModel, theta: float) -> tuple[float, float]:
+    """(A, p_below) of the step h' ~ K(.|theta) that a continuation takes from theta:
+    A = E[r(h') 1{theta <= h' < H_D}], the transplant reward of stopping at once,
+    and p_below = P(h' < theta).
+
+    A integrates the density against r piece by piece between the knots of the
+    reward table, whose inward edge nudges read r's living-side limit at H_D
+    (r(H_D) itself is 0), and adds the point masses in [theta, H_D).
+    """
+    kernel = model.kernel
+    stop = 0.0
+    if theta < model.H_D:
+        edges = [theta, *(x for x in model.reward_transplant.xs if theta < x < model.H_D), model.H_D]
+        stop = sum(integrate_density(kernel, theta, p, q, weight=model.transplant_reward)
+                   for p, q in zip(edges[:-1], edges[1:]))
+    stop += sum(mass * model.transplant_reward(loc) for loc, mass in kernel.point_masses(theta) if loc >= theta)
+    return float(stop), 1.0 - float(kernel.tail_mass(theta, theta))
+
+
 def _spa_block(
     model: StoppingModel,
     theta: float,
@@ -79,6 +106,8 @@ def _spa_block(
     horizon: int,
     aux_reps: int,
     streams: ReplicationStreams,
+    stop: float,
+    p_below: float,
     lo: int,
     hi: int,
 ) -> np.ndarray:
@@ -90,23 +119,26 @@ def _spa_block(
     crossed = batch.cross_index >= 1
     if not crossed.any():
         return out
-    U_aux = streams.uniform_rows(ReplicationStreams.AUX, lo, hi, aux_reps * horizon)
-    # Continuation j waits at theta in period M, leaves it with draw
-    # U_aux[:, j * horizon] and follows the policy on the next horizon - 1
-    # columns; it is valued from its own start, and the sum is discounted once,
-    # by lambda^(M+1).  Every row of the block is passed, the others with no
-    # period to run, so that the draw columns go in as views rather than copies.
-    remaining = np.where(crossed, horizon - batch.cross_index - 1, -1)
-    tail = np.zeros(hi - lo)
-    for j in range(aux_reps):
-        col = j * horizon
-        h1 = model.kernel.ppf(U_aux[:, col], theta)
-        tail += _paths_from_uniforms(model, theta, h1, remaining, U_aux[:, col + 1 : col + horizon]).value
-    tail *= batch.disc_at_stop * model.discount / aux_reps
     idx = np.flatnonzero(crossed)
+    # The continuation from theta, valued at period M + 1 from discount 1; a
+    # crossing in the last period has none.
+    cont = np.where(batch.cross_index[idx] < horizon, stop, 0.0)
+    if p_below > 0.0:
+        U_aux = streams.uniform_rows(ReplicationStreams.AUX, lo, hi, aux_reps * horizon)
+        # Subpath j starts below theta at ppf(p_below * U_aux[:, j * horizon]) and
+        # follows the policy on the next horizon - 1 columns through the horizon.
+        # Every row of the block is passed, the others with no period to run, so
+        # that the draw columns go in as views rather than copies.
+        remaining = np.where(crossed, horizon - batch.cross_index - 1, -1)
+        below = np.zeros(hi - lo)
+        for j in range(aux_reps):
+            col = j * horizon
+            h1 = model.kernel.ppf(p_below * U_aux[:, col], theta)
+            below += _paths_from_uniforms(model, theta, h1, remaining, U_aux[:, col + 1 : col + horizon]).value
+        cont += p_below / aux_reps * below[idx]
     hz = _hazard(model, theta, batch.h_prev[idx])
-    bracket = batch.disc_at_stop[idx] * (model.wait_reward(theta) - model.transplant_reward(theta)) + tail[idx]
-    out[idx] = hz * bracket
+    jump = model.wait_reward(theta) - model.transplant_reward(theta)
+    out[idx] = hz * batch.disc_at_stop[idx] * (jump + model.discount * cont)
     return out
 
 
@@ -128,7 +160,7 @@ def spa_estimate(
     _check_sim_args(model, theta, h0, horizon)
     if reps < 2:
         raise ValueError("gradient estimation needs reps >= 2")
-    fn = partial(_spa_block, model, theta, h0, horizon, aux_reps, streams)
+    fn = partial(_spa_block, model, theta, h0, horizon, aux_reps, streams, *_first_step(model, theta))
     values = np.concatenate(map_blocks(fn, block_ranges(reps), workers))
     return GradEstimate.from_values("spa", theta, values)
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -126,13 +127,16 @@ def integrate_density(
     h_cur: float,
     a: float = 0.0,
     b: float | None = None,
+    weight: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> float:
-    """Quadrature of the density part of kernel(. | h_cur) over [a, b].
+    """Quadrature of the density part of kernel(. | h_cur) over [a, b], times
+    `weight(h_next)` when a vectorized weight is given.
 
     The interval is split at the kernel's declared discontinuities and each
     smooth piece is integrated by composite Simpson with endpoints nudged
-    inward, so one-sided limits are used at the jumps.  Point masses are not
-    included.
+    inward, so one-sided limits are used at the jumps, of the density and of
+    the weight alike.  The weight must be smooth between those jumps and the
+    ends.  Point masses are not included.
     """
     if b is None:
         b = kernel.H
@@ -143,5 +147,6 @@ def integrate_density(
     total = 0.0
     for p, q in zip(edges[:-1], edges[1:]):
         pad = _EDGE_NUDGE * (q - p)
-        total += _simpson(lambda x: kernel.density(x, h_cur), p + pad, q - pad, DEFAULT_PANELS)
+        total += _simpson(lambda x: kernel.density(x, h_cur) * (1.0 if weight is None else weight(x)),
+                          p + pad, q - pad, DEFAULT_PANELS)
     return total

@@ -93,8 +93,10 @@ class StoppingModel:
     @property
     def value_bound(self) -> float:
         """Upper bound on any discounted value: the largest value of either reward table
-        over (1 - discount), infinite at discount 1."""
-        g = max(*self.reward_wait.ys, *self.reward_transplant.ys)
+        on [0, H] over (1 - discount), infinite at discount 1.  A table is linear between
+        its knots and constant beyond them, so its sup on [0, H] is its largest value at
+        the knots clipped to [0, H]."""
+        g = max(float(np.max(t(np.clip(t.xs, 0.0, self.H)))) for t in (self.reward_wait, self.reward_transplant))
         return float("inf") if self.discount >= 1.0 else g / (1.0 - self.discount)
 
     def wait_reward(self, h):

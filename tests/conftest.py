@@ -32,13 +32,16 @@ def replay(model: StoppingModel, theta: float, h0: float, horizon: int, u) -> tu
 
 
 class FixedStreams:
-    """Stands in for ReplicationStreams, serving fixed path and auxiliary draw rows."""
+    """Stands in for ReplicationStreams, serving fixed path draw rows, and auxiliary
+    rows only when some are given: a request for absent rows fails the test."""
 
-    def __init__(self, U, U_aux):
-        self._rows = {ReplicationStreams.PATH: np.asarray(U, dtype=float),
-                      ReplicationStreams.AUX: np.asarray(U_aux, dtype=float)}
+    def __init__(self, U, U_aux=None):
+        self._rows = {ReplicationStreams.PATH: np.asarray(U, dtype=float)}
+        if U_aux is not None:
+            self._rows[ReplicationStreams.AUX] = np.asarray(U_aux, dtype=float)
 
     def uniform_rows(self, purpose, rep_lo, rep_hi, ncols):
+        assert purpose in self._rows, f"unexpected draw request for purpose {purpose}"
         return self._rows[purpose][rep_lo:rep_hi, :ncols]
 
 

@@ -8,6 +8,7 @@ from oracles import continuation_mean_reward, derivative_closed_form
 from stopgrad.estimators import (
     DegenerateHazardError,
     GradEstimate,
+    _first_step,
     _hazard,
     _spa_block,
     fd_estimate,
@@ -15,8 +16,8 @@ from stopgrad.estimators import (
     spa_estimate,
 )
 from stopgrad.kernel import DomainError, TransitionKernel, UniformDeteriorationKernel
-from stopgrad.model import ConstantReward, LinearReward, StoppingModel
-from stopgrad.sim import ReplicationStreams
+from stopgrad.model import ConstantReward, LinearReward, StoppingModel, TabulatedReward
+from stopgrad.sim import ReplicationStreams, sample_paths
 from test_kernel import ResetKernel
 from test_sim import _death_model
 
@@ -75,21 +76,21 @@ class TestGradEstimate:
         assert g.reps == 4 and g.values.size == 4
 
 
-def _spa_rows(model, theta, h0, horizon, U, U_aux):
-    """Per-row crossing-event estimates for explicit path and auxiliary draws."""
-    U, U_aux = np.atleast_2d(U), np.atleast_2d(U_aux)
-    return _spa_block(model, theta, h0, horizon, 1, FixedStreams(U, U_aux), 0, U.shape[0])
+def _spa_rows(model, theta, h0, horizon, U):
+    """Per-row crossing-event estimates for explicit path draws; a model whose
+    continuations never fall below theta reads no auxiliary draw."""
+    U = np.atleast_2d(U)
+    return _spa_block(model, theta, h0, horizon, 1, FixedStreams(U), *_first_step(model, theta), 0, U.shape[0])
 
 
 class TestSpaSingleRep:
     def test_no_crossing_contributes_zero(self, wsc_model):
         # One small draw keeps the path below the threshold through the horizon.
-        assert _spa_rows(wsc_model, 0.9, 0.0, 1, [0.1], [np.nan])[0] == 0.0
+        assert _spa_rows(wsc_model, 0.9, 0.0, 1, [0.1])[0] == 0.0
 
     def test_start_above_threshold_contributes_zero(self, wsc_model):
         # A deterministic initial state above theta has no perturbable crossing.
-        nan = np.full(5, np.nan)
-        assert _spa_rows(wsc_model, 0.9, 0.95, 5, nan, nan)[0] == 0.0
+        assert _spa_rows(wsc_model, 0.9, 0.95, 5, np.full(5, np.nan))[0] == 0.0
 
     def test_hazard_simplifies_for_uniform_kernel(self, wsc_model):
         for hprev in (0.0, 0.3, 0.49):
@@ -97,15 +98,17 @@ class TestSpaSingleRep:
             assert float(hz) == pytest.approx(1.0 / (1.0 - 0.5))
 
     def test_known_path_value(self, wsc_model):
-        # Nominal: 0 -> 0.4 (u=0.4) -> 0.7 (u=0.5, crosses 0.5 at M=2);
-        # auxiliary from theta=0.5 with u=0.5 -> 0.75 >= theta, stops at period 3.
-        # Draws after those are never read.
+        # Nominal: 0 -> 0.4 (u=0.4) -> 0.7 (u=0.5, crosses 0.5 at M=2).  The
+        # continuation from theta = 0.5 lands on Uniform[0.5, 1] and stops at
+        # period 3, worth lambda^3 E[r(h')] = lambda^3 A(0.5) = lambda^3 * 2 in
+        # expectation.  Draws after those are never read, and no auxiliary one is.
         theta, lam = 0.5, LAM
-        got = _spa_rows(wsc_model, theta, 0.0, 10, [0.4, 0.5] + [np.nan] * 8, [0.5] + [np.nan] * 9)[0]
+        got = _spa_rows(wsc_model, theta, 0.0, 10, [0.4, 0.5] + [np.nan] * 8)[0]
         disc2 = lam * lam
-        tail = disc2 * lam * 8.0 * (1.0 - 0.75)
+        tail = disc2 * lam * continuation_mean_reward(theta)
+        assert continuation_mean_reward(theta) == pytest.approx(2.0, abs=1e-12)
         expect = (1.0 / 0.5) * (disc2 * (0.5 - 4.0) + tail)
-        assert got == pytest.approx(expect, rel=1e-12)
+        assert got == pytest.approx(expect, rel=1e-10)
 
     def test_theta_must_be_interior(self, wsc_model):
         for theta in (0.0, 1.0):
@@ -113,15 +116,37 @@ class TestSpaSingleRep:
                 spa_estimate(wsc_model, theta, 0.0, 10, 10, 1, ReplicationStreams(1))
 
     def test_unit_discount_closed_form(self):
-        # With discount 1 the per-replication value is hazard * (c - r + r(h'))
-        # averaged over auxiliary draws; its mean at theta = 0.8 is -1.5.
+        # With discount 1 the per-replication value is hazard * (c - r + E[r(h')]),
+        # the same for every row that crosses before the horizon: -1.5 at
+        # theta = 0.8.  No row of 4096 reaches period 100 below theta, so the
+        # estimate is that number to rounding.
         m = StoppingModel(UniformDeteriorationKernel(), ConstantReward(0.5), LinearReward(8.0, 0.0), discount=1.0)
         theta = 0.8
         tail_mean = continuation_mean_reward(theta)  # independent quadrature: 4(1-theta)
         expect = (1.0 / (1.0 - theta)) * (0.5 - 8.0 * (1.0 - theta) + tail_mean)
         assert expect == pytest.approx(-1.5, abs=1e-9)
         est = spa_estimate(m, theta, 0.0, 100, 4096, 64, ReplicationStreams(424242))
-        assert abs(est.mean - expect) <= 4.0 * est.se
+        assert abs(est.mean - expect) <= 1e-9 and est.se <= 1e-12
+
+
+class TestFirstStep:
+    def test_stopping_mean_and_mass_below(self, wsc_model):
+        # wsc-example: A = E[8 (1 - h')] = 4 (1 - theta), and h' never falls below theta.
+        assert _first_step(wsc_model, 0.3) == pytest.approx((continuation_mean_reward(0.3), 0.0), abs=1e-10)
+        # H_D = 0.6: A integrates up to H_D's living side, int_0.4^0.6 8 (1 - h) dh / 0.6 = 4/3.
+        assert _first_step(_death_model(), 0.4) == pytest.approx((4.0 / 3.0, 0.0), abs=1e-10)
+        assert _first_step(_death_model(), 0.7) == (0.0, 0.0)
+        # ResetKernel(0.3) from theta falls below it with probability 0.3 theta.
+        assert _first_step(_reset_model(), 0.5)[1] == pytest.approx(0.15, abs=1e-12)
+
+    def test_table_knots_and_point_masses(self):
+        # A piecewise-linear r with knots inside [theta, H_D) integrates exactly:
+        # (0.2 * 6 + 0.3 * 3 + 0.1 * 1) / 0.7 from theta = 0.3 to H_D = 0.9.
+        r = TabulatedReward((0.1, 0.5, 0.8), (9.0, 5.0, 1.0))
+        m = StoppingModel(UniformDeteriorationKernel(), ConstantReward(0.5), r, H_D=0.9)
+        assert _first_step(m, 0.3) == pytest.approx((2.2 / 0.7, 0.0), abs=1e-10)
+        # StepKernel(0.2) from theta = 0.5 stays at theta, a point mass worth r(theta).
+        assert _first_step(StoppingModel(StepKernel(0.2), ConstantReward(0.5), LinearReward(8.0, 0.0)), 0.5) == (4.0, 0.0)
 
 
 def _reset_model() -> StoppingModel:
@@ -139,16 +164,19 @@ class TestSpaBatch:
         for m in ("wsc", "death", "reset") for c in _SPA_CASES])
     def test_batch_matches_scalar_reference(self, wsc_model, model_name, theta, aux_reps, horizon):
         model = {"wsc": wsc_model, "death": _death_model(), "reset": _reset_model()}[model_name]
-        streams = ReplicationStreams(314)
         n = 400
-        got = _spa_block(model, theta, 0.0, horizon, aux_reps, streams, 0, n)
-        U = streams.uniform_rows(ReplicationStreams.PATH, 0, n, horizon)
-        U_aux = streams.uniform_rows(ReplicationStreams.AUX, 0, n, aux_reps * horizon)
-        ref = self._reference(model, theta, 0.0, horizon, aux_reps, U, U_aux)
-        np.testing.assert_array_equal(got, ref)
+        U = ReplicationStreams(314).uniform_rows(ReplicationStreams.PATH, 0, n, horizon)
+        stop, p_below = _first_step(model, theta)
+        # Auxiliary rows exist only where a continuation can fall below theta: on reset.
+        U_aux = ReplicationStreams(314).uniform_rows(ReplicationStreams.AUX, 0, n, aux_reps * horizon) \
+            if p_below > 0.0 else None
+        assert (p_below > 0.0) == (model_name == "reset")
+        got = _spa_block(model, theta, 0.0, horizon, aux_reps, FixedStreams(U, U_aux), stop, p_below, 0, n)
+        np.testing.assert_array_equal(got, self._reference(model, theta, 0.0, horizon, aux_reps, U, U_aux))
 
     @staticmethod
     def _reference(model, theta, h0, horizon, aux_reps, U, U_aux):
+        stop, p_below = _first_step(model, theta)
         out = np.zeros(U.shape[0])
         for i in range(U.shape[0]):
             states = replay(model, theta, h0, horizon, U[i])[0]
@@ -160,23 +188,28 @@ class TestSpaBatch:
             disc_m = 1.0
             for _ in range(M):
                 disc_m *= model.discount
-            # Continuation j leaves theta at period M + 1 and is valued from
-            # discount 1 there; the sum is scaled by lambda^(M+1) / aux_reps.
-            tail = 0.0
-            for j in range(aux_reps):
-                state, disc, cont = theta, 1.0, 0.0
-                for t in range(horizon - M):
-                    state = float(model.kernel.ppf(U_aux[i, j * horizon + t], state))
-                    if state >= theta:
-                        cont += disc * model.transplant_reward(state)  # 0 when dead
-                        break
-                    if state >= model.H_D:
-                        break
-                    cont += disc * model.wait_reward(state)
-                    disc *= model.discount
-                tail += cont
-            tail *= disc_m * model.discount / aux_reps
-            out[i] = hz * (disc_m * (model.wait_reward(theta) - model.transplant_reward(theta)) + tail)
+            # The continuation leaves theta at period M + 1 and is valued from
+            # discount 1 there: A for stopping at once, plus p_below times the
+            # mean of the subpaths that start below theta.
+            cont = stop if M < horizon else 0.0
+            if p_below > 0.0:
+                below = 0.0
+                for j in range(aux_reps):
+                    state, disc, sub = theta, 1.0, 0.0
+                    for t in range(horizon - M):
+                        u = U_aux[i, j * horizon + t]
+                        state = float(model.kernel.ppf(p_below * u, theta) if t == 0 else model.kernel.ppf(u, state))
+                        if state >= theta:
+                            sub += disc * model.transplant_reward(state)  # 0 when dead
+                            break
+                        if state >= model.H_D:
+                            break
+                        sub += disc * model.wait_reward(state)
+                        disc *= model.discount
+                    below += sub
+                cont += p_below / aux_reps * below
+            jump = model.wait_reward(theta) - model.transplant_reward(theta)
+            out[i] = hz * disc_m * (jump + model.discount * cont)
         return out
 
     def test_deterministic_and_worker_invariant(self, wsc_model):
@@ -185,16 +218,40 @@ class TestSpaBatch:
         b = spa_estimate(wsc_model, 0.5, 0.0, 200, 20_000, 1, s, workers=2)
         np.testing.assert_array_equal(a.values, b.values)
 
-    def test_more_auxiliary_subpaths_cut_variance(self, wsc_model):
+    def test_more_auxiliary_subpaths_cut_variance(self):
+        # Only subpaths that start below theta are simulated, so the model must
+        # let a continuation fall back: on wsc-example aux_reps changes nothing.
         s = ReplicationStreams(555)
-        one = spa_estimate(wsc_model, 0.5, 0.0, 200, 20_000, 1, s)
-        many = spa_estimate(wsc_model, 0.5, 0.0, 200, 20_000, 16, s)
+        one = spa_estimate(_reset_model(), 0.5, 0.0, 200, 20_000, 1, s)
+        many = spa_estimate(_reset_model(), 0.5, 0.0, 200, 20_000, 16, s)
         assert many.se < one.se / 2.0
 
-    def test_se_nearly_theta_independent_at_fixed_reps(self, wsc_model):
-        s = ReplicationStreams(808)
-        ses = [spa_estimate(wsc_model, th, 0.0, 200, 20_000, 1, s).se for th in (0.2, 0.5, 0.8)]
-        assert max(ses) / min(ses) < 1.15
+    @pytest.mark.parametrize("theta", [0.2, 0.5, 0.8])
+    def test_contribution_is_hazard_times_discounted_bracket(self, wsc_model, theta):
+        # On wsc-example the continuation never falls below theta, so a row
+        # that crosses at 1 <= M < horizon contributes hz lambda^M J(theta), with
+        # J = c - r + lambda A and A = E[r(h')] = 4 (1 - theta), and a row that
+        # crosses at M = horizon contributes hz lambda^M (c - r).
+        horizon, s = 4, ReplicationStreams(808)
+        est = spa_estimate(wsc_model, theta, 0.0, horizon, 20_000, 1, s)
+        M = sample_paths(wsc_model, theta, 0.0, horizon, 20_000, s).cross_index
+        jump = 0.5 - 8.0 * (1.0 - theta)
+        J = np.where(M < horizon, jump + LAM * continuation_mean_reward(theta), jump)
+        expect = np.where(M >= 1, LAM ** M.astype(float) * J / (1.0 - theta), 0.0)
+        assert np.count_nonzero((M >= 1) & (M < horizon)) > 10_000 and np.any(M == horizon)
+        np.testing.assert_allclose(est.values, expect, rtol=1e-10, atol=0.0)
+
+    def test_no_auxiliary_draws_on_wsc_example(self, wsc_model, monkeypatch):
+        purposes = []
+        draw = ReplicationStreams.uniform_rows
+
+        def spy(self, purpose, *args):
+            purposes.append(purpose)
+            return draw(self, purpose, *args)
+
+        monkeypatch.setattr(ReplicationStreams, "uniform_rows", spy)
+        spa_estimate(wsc_model, 0.4, 0.0, 200, 40_000, 10, ReplicationStreams(7))
+        assert purposes == [ReplicationStreams.PATH] * 3
 
     def test_se_scales_with_inverse_root_reps(self, wsc_model):
         s = ReplicationStreams(809)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import simpson
+from oracles import continuation_mean_reward, simpson
 from stopgrad.kernel import (
     DomainError,
     TransitionKernel,
@@ -257,3 +257,26 @@ def test_continuation_mean_reward_oracle_agrees_with_kernel():
     theta = 0.8
     mean_r = simpson(lambda y: 8.0 * (1.0 - y) * np.asarray(uk.density(y, theta)), theta, 1.0)
     assert mean_r == pytest.approx(4.0 * (1.0 - theta), abs=1e-10)
+
+
+class TestWeightedQuadrature:
+    @pytest.mark.parametrize("theta", [0.2, 0.5, 0.8])
+    def test_weight_matches_the_oracle_mean_reward(self, uk, theta):
+        got = integrate_density(uk, theta, theta, 1.0, weight=lambda y: 8.0 * (1.0 - y))
+        assert got == pytest.approx(continuation_mean_reward(theta), abs=1e-10)
+
+    @pytest.mark.parametrize("theta", [0.2, 0.4])
+    def test_death_threshold_reads_the_living_side_limit(self, uk, theta):
+        # With H_D = 0.6 the transplant reward is 0 at H_D itself; the inward
+        # nudge of the right end reads r(H_D-) = 3.2 instead, so the quadrature
+        # meets the exact int_theta^0.6 8(1 - h) / (1 - theta) dh.
+        from stopgrad.model import ConstantReward, LinearReward, StoppingModel
+
+        m = StoppingModel(uk, ConstantReward(0.5), LinearReward(8.0, 0.0), H_D=0.6)
+        exact = 8.0 * ((0.6 - theta) - (0.6 ** 2 - theta ** 2) / 2.0) / (1.0 - theta)
+        got = integrate_density(uk, theta, theta, 0.6, weight=m.transplant_reward)
+        assert got == pytest.approx(exact, abs=1e-10)
+        assert exact == pytest.approx(simpson(lambda h: 8.0 * (1.0 - h) / (1.0 - theta), theta, 0.6), abs=1e-12)
+
+    def test_no_weight_is_weight_one(self, uk):
+        assert integrate_density(uk, 0.3, 0.4, 0.9, weight=np.ones_like) == integrate_density(uk, 0.3, 0.4, 0.9)

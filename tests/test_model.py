@@ -104,6 +104,17 @@ class TestModelValidation:
         m = StoppingModel(UniformDeteriorationKernel(), ConstantReward(0.0), peak)
         assert m.value_bound == 5.0 / (1.0 - m.discount)
 
+    def test_value_bound_ignores_knots_outside_the_state_space(self):
+        # The config table's knot -5:100 lies outside [0, 1]; on [0, 1] it peaks at r(0) = 8.
+        from stopgrad.config import reward_from_spec
+
+        steep = reward_from_spec("table -5:100 0:8 1:0", 1.0)
+        m = StoppingModel(UniformDeteriorationKernel(), ConstantReward(0.5), steep)
+        assert m.value_bound == pytest.approx(8.0 / 0.03)
+        beyond = TabulatedReward((0.5, 2.0), (1.0, 50.0))  # rises to 1 + 49 / 3 at h = 1
+        m = StoppingModel(UniformDeteriorationKernel(), ConstantReward(0.5), beyond)
+        assert m.value_bound == pytest.approx((1.0 + 49.0 / 3.0) / 0.03)
+
     def test_truncation_bound(self, wsc_model):
         assert wsc_model.truncation_bound(200) == pytest.approx(0.97**201 * 8.0 / 0.03)
 
