@@ -164,12 +164,11 @@ class TestSpaBatch:
         for m in ("wsc", "death", "reset") for c in _SPA_CASES])
     def test_batch_matches_scalar_reference(self, wsc_model, model_name, theta, aux_reps, horizon):
         model = {"wsc": wsc_model, "death": _death_model(), "reset": _reset_model()}[model_name]
-        n = 400
-        U = ReplicationStreams(314).uniform_rows(ReplicationStreams.PATH, 0, n, horizon)
+        streams, n = ReplicationStreams(314), 400
+        U = streams.uniform_rows(ReplicationStreams.PATH, 0, n, horizon)
         stop, p_below = _first_step(model, theta)
         # Auxiliary rows exist only where a continuation can fall below theta: on reset.
-        U_aux = ReplicationStreams(314).uniform_rows(ReplicationStreams.AUX, 0, n, aux_reps * horizon) \
-            if p_below > 0.0 else None
+        U_aux = streams.uniform_rows(ReplicationStreams.AUX, 0, n, aux_reps * horizon) if p_below > 0.0 else None
         assert (p_below > 0.0) == (model_name == "reset")
         got = _spa_block(model, theta, 0.0, horizon, aux_reps, FixedStreams(U, U_aux), stop, p_below, 0, n)
         np.testing.assert_array_equal(got, self._reference(model, theta, 0.0, horizon, aux_reps, U, U_aux))
