@@ -1,15 +1,15 @@
-"""Independent numerical oracles for the uniform-deterioration scenario.
+"""Independent numerical oracles for the uniform-deterioration kernel.
 
 Everything here is computed from first principles with plain numpy quadrature
 and closed-form probability, with no imports from the package under test, so
-these values can safely pin the estimators and solvers.
-
-Scenario conventions, except for `derivative_closed_form`: state space [0, 1],
-next state Uniform[current, 1], waiting reward c constant, transplant reward
-r(h) = r0 * (1 - h), start h0 = 0, no interior death region.
+these values can safely pin the estimators and solvers.  `derivative_closed_form`
+and `control_limit_exact` take any model the config accepts; the rest fix the
+shipped scenario: constant c, r(h) = r0 * (1 - h), h0 = 0 and H_D = 1.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -23,6 +23,12 @@ def simpson(f, a: float, b: float, n: int = 2048) -> float:
     y = np.asarray(f(x), dtype=float)
     h = (b - a) / (2 * n)
     return float(h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-2:2].sum()))
+
+
+def _integral(f, a: float, b: float, knots) -> float:
+    """Simpson over [a, b], split at the kinks of f listed in `knots`."""
+    edges = [a, *sorted(k for k in knots if a < k < b), b]
+    return sum(simpson(f, p, q) for p, q in zip(edges[:-1], edges[1:]))
 
 
 def value_exact(theta: float, lam: float) -> float:
@@ -44,67 +50,60 @@ def derivative_exact(theta: float, lam: float) -> float:
     return C_WAIT * lam * y ** (-lam) - (R0 / 2.0) * lam * (2.0 - lam) * y ** (1.0 - lam)
 
 
-def two_period_value(theta: float, lam: float, panels: int = 1500) -> float:
-    """E[v_2(theta)] from h0 = 0 by nested quadrature over the two transitions.
-
-    v_2 accrues the waiting reward at period 0, then either stops at period 1
-    (h1 >= theta) or accrues c and resolves period 2 against the second
-    transition, which from h1 is uniform on [h1, 1].
-    """
-
-    def r(h):
-        return R0 * (1.0 - h)
-
-    stop1 = simpson(r, theta, 1.0, panels)  # h1 ~ U[0,1] density 1
-
-    def waited(h1_arr):
-        out = np.empty_like(h1_arr)
-        for i, h1 in enumerate(h1_arr):
-            dens = 1.0 / (1.0 - h1)
-            stop2 = simpson(lambda y: r(y) * dens, theta, 1.0, panels)
-            wait2 = C_WAIT * dens * (theta - h1)  # constant integrand on [h1, theta)
-            out[i] = lam * C_WAIT + lam * lam * (stop2 + wait2)
-        return out
-
-    return C_WAIT + lam * stop1 + simpson(waited, 0.0, theta, 400)
-
-
-def two_period_derivative(theta: float, lam: float, delta: float = 1e-5) -> float:
-    """Central difference of the truncated-horizon expected value in theta."""
-    return (two_period_value(theta + delta / 2.0, lam) - two_period_value(theta - delta / 2.0, lam)) / delta
-
-
 def continuation_mean_reward(theta: float) -> float:
     """E[r(h')] for h' ~ Uniform[theta, 1], by quadrature (equals (R0/2)(1-theta))."""
     dens = 1.0 / (1.0 - theta)
     return simpson(lambda y: R0 * (1.0 - y) * dens, theta, 1.0)
 
 
-def derivative_closed_form(theta, lam, h0, H_D, c, r, knots=()) -> float:
-    """dV/dtheta of the infinite-horizon threshold policy for any model the
-    config accepts: next state Uniform[h, 1], death region [H_D, 1], start h0,
-    rewards c and r given as callables whose kinks are listed in `knots`.
+def derivative_closed_form(theta, lam, h0, H_D, c, r, knots=(), horizon=None) -> float:
+    """dV/dtheta of the threshold policy over periods 0 ... horizon (None: no
+    limit) for any model the config accepts: next state Uniform[h, 1], death
+    region [H_D, 1], start h0, rewards c and r as callables with kinks `knots`.
 
-    Before the crossing, the visited states after period 0 form a rate-1
-    Poisson process in t = -ln(1 - h), so their expected discounted count per
-    unit h is g(h) = lam ((1 - h)/(1 - h0))^(1 - lam) / (1 - h).  A crossing
-    from state h lands Uniform[theta, 1], so with
-    P(theta) = 1/(1 - h0) + int_h0^theta g(h)/(1 - h) dh and
-    R(theta) = int_theta^H_D r dh the value is
-    V = c(h0) + int_h0^theta c g dh + lam P R, whose derivative is returned.
-    V does not depend on theta when theta <= h0 (immediate transplant) or
-    theta >= H_D (no living state transplants).
+    In t = ln((1 - h0)/(1 - h)) the visited states are a rate-1 Poisson
+    process, so period k visits theta with density T^(k-1)/(k-1)!/(1 - h0),
+    T = t(theta).  Raising theta turns such a visit from a transplant into a
+    wait, worth c - r plus, when k < N, a step that lands Uniform[theta, 1] and
+    transplants: lam R/(1 - theta), R = int_theta^H_D r.  So, with
+    S_N = sum_(k=1..N) lam^k T^(k-1)/(k-1)! and S_inf = lam e^(lam T),
+    V'_N = [(c - r) S_N + lam S_(N-1) R/(1 - theta)]/(1 - h0) on (h0, H_D), 0 off it.
     """
-    if theta <= h0 or theta >= H_D:
+    if theta <= h0 or theta >= H_D:  # immediate transplant, or no living state transplants
         return 0.0
+    T = math.log((1.0 - h0) / (1.0 - theta))
+    if horizon is None:
+        s_n = s_prev = lam * math.exp(lam * T)
+    else:
+        terms = [lam]  # lam^k T^(k-1)/(k-1)! by recurrence, as 199! overflows a float
+        for k in range(1, horizon):
+            terms.append(terms[-1] * lam * T / k)
+        s_n, s_prev = sum(terms[:horizon]), sum(terms[:max(horizon - 1, 0)])
+    R = _integral(r, theta, H_D, knots)
+    return float(((c(theta) - r(theta)) * s_n + lam * s_prev * R / (1.0 - theta)) / (1.0 - h0))
 
-    def g(h):
-        return lam * ((1.0 - h) / (1.0 - h0)) ** (1.0 - lam) / (1.0 - h)
 
-    def integral(f, a, b):
-        edges = [a, *sorted(k for k in knots if a < k < b), b]
-        return sum(simpson(f, p, q) for p, q in zip(edges[:-1], edges[1:]))
+def control_limit_exact(lam, H_D, c, r, knots=()) -> float | None:
+    """Optimal control limit in the monotone case, else None.
 
-    P = 1.0 / (1.0 - h0) + integral(lambda h: g(h) / (1.0 - h), h0, theta)
-    R = integral(r, theta, H_D)
-    return float(c(theta) * g(theta) + lam * g(theta) / (1.0 - theta) * R - lam * P * r(theta))
+    Below H_D, V' at N = inf is a positive factor times
+    J = c - r + lam R/(1 - theta) (`derivative_closed_form`).  When J is
+    nonincreasing on a 1001-point grid of [0, H_D), {J <= 0} is an up-set and
+    the one-step look-ahead rule is optimal: the limit is the root of J, or 0
+    (J <= 0 throughout) or H = 1 (J > 0 throughout).
+    """
+    def J(h):
+        return float(c(h) - r(h) + lam * _integral(r, h, H_D, knots) / (1.0 - h))
+
+    grid = np.linspace(0.0, H_D, 1001)
+    grid[-1] = np.nextafter(H_D, 0.0)
+    j = np.array([J(h) for h in grid])
+    if np.any(np.diff(j) > 1e-12 * max(1.0, np.abs(j).max())):
+        return None
+    if j[0] <= 0.0 or j[-1] > 0.0:
+        return 0.0 if j[0] <= 0.0 else 1.0
+    lo, hi = 0.0, grid[-1]
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if J(mid) > 0.0 else (lo, mid)
+    return float(0.5 * (lo + hi))

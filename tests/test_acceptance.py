@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from conftest import run_cli
-from oracles import two_period_derivative
+from oracles import C_WAIT, R0, derivative_closed_form
 from stopgrad import (
     check_assumptions,
     check_ifr,
@@ -143,12 +143,13 @@ def test_criterion_04_fd_bias_variance_tradeoff(wsc_model, oracle_d, fd001_big):
 
 def test_criterion_05_exact_unbiasedness_at_small_horizon(wsc_model):
     t0 = time.perf_counter()
-    truth = two_period_derivative(0.5, wsc_model.discount)
+    truth = derivative_closed_form(0.5, wsc_model.discount, 0.0, 1.0, lambda h: C_WAIT, lambda h: R0 * (1.0 - h),
+                                   horizon=2)
     est = spa_estimate(wsc_model, 0.5, H0, 2, N_BIG, 1, ReplicationStreams(SEED_N2))
     elapsed = time.perf_counter() - t0
-    assert abs(est.mean - truth) <= 3.0 * est.se, f"{est.mean:.5f} vs quadrature {truth:.5f}"
+    assert abs(est.mean - truth) <= 3.0 * est.se, f"{est.mean:.5f} vs closed form {truth:.5f}"
     assert elapsed < 60.0
-    print(f"[criterion 5] horizon-2 spa {est.mean:.4f} vs quadrature {truth:.4f} "
+    print(f"[criterion 5] horizon-2 spa {est.mean:.4f} vs closed form {truth:.4f} "
           f"({elapsed:.0f}s) -> PASS")
 
 

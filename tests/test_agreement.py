@@ -1,8 +1,9 @@
 """Randomized agreement of the estimators and the DP oracle with the closed form.
 
 Every config drawn in the first test passes `validate_config`: uniform
-deterioration with any discount, death threshold H_D, start state h0 and
-constant, linear or tabulated rewards.  `oracles.derivative_closed_form` is the
+deterioration with any discount, death threshold H_D, start state h0,
+constant, linear or tabulated rewards, and a horizon from 1 to 10 or 200.
+`oracles.derivative_closed_form`, a Poisson series cut at the horizon, is the
 reference; it imports nothing from the package.  The second test moves to
 `ResetKernel`, where a continuation from theta can fall back below it and wait,
 and takes the finite-horizon DP oracle as the reference, at horizons from 1 up.
@@ -53,12 +54,14 @@ _TABLES = dict(lam=0.95, H_D=0.9, h0=0.1, wait=("table", ((0.2, 1.0), (0.7, 0.5)
 
 
 @settings(max_examples=6, derandomize=True, deadline=None, database=None)
-@example(**_AUX_DEATH, theta=0.4)
-@example(**_AUX_DEATH, theta=0.7)
-@example(**_TABLES, theta=0.6)
-@example(**_TABLES, theta=0.8)
-@example(**_TABLES, theta=0.05)
-@example(**_TABLES, theta=0.95)
+@example(**_AUX_DEATH, theta=0.4, horizon=HORIZON)
+@example(**_AUX_DEATH, theta=0.7, horizon=HORIZON)
+@example(**_TABLES, theta=0.6, horizon=HORIZON)
+@example(**_TABLES, theta=0.8, horizon=HORIZON)
+@example(**_TABLES, theta=0.05, horizon=HORIZON)
+@example(**_TABLES, theta=0.95, horizon=HORIZON)
+@example(**_TABLES, theta=0.6, horizon=1)
+@example(**_AUX_DEATH, theta=0.4, horizon=2)
 @given(
     lam=st.integers(85, 97).map(lambda k: k / 100),
     H_D=st.one_of(st.just(1.0), st.integers(40, 95).map(lambda k: k / 100)),
@@ -66,8 +69,9 @@ _TABLES = dict(lam=0.95, H_D=0.9, h0=0.1, wait=("table", ((0.2, 1.0), (0.7, 0.5)
     wait=_rewards,
     transplant=_rewards,
     theta=st.integers(2, 90).map(lambda k: k / 100),
+    horizon=st.one_of(st.integers(1, 10), st.just(HORIZON)),
 )
-def test_estimators_agree_with_closed_form(lam, H_D, h0, wait, transplant, theta):
+def test_estimators_agree_with_closed_form(lam, H_D, h0, wait, transplant, theta, horizon):
     cfg = ExperimentConfig()
     c_spec, c_xs, c_ys = _reward(*wait)
     r_spec, r_xs, r_ys = _reward(*transplant)
@@ -79,16 +83,16 @@ def test_estimators_agree_with_closed_form(lam, H_D, h0, wait, transplant, theta
 
     knots = (*c_xs, *r_xs)
     truth = derivative_closed_form(theta, lam, h0, H_D, lambda h: np.interp(h, c_xs, c_ys),
-                                   lambda h: np.interp(h, r_xs, r_ys), knots)
+                                   lambda h: np.interp(h, r_xs, r_ys), knots, horizon)
 
-    spa = spa_estimate(model, theta, h0, HORIZON, REPS, 1, ReplicationStreams(SEED_SPA))
+    spa = spa_estimate(model, theta, h0, horizon, REPS, 1, ReplicationStreams(SEED_SPA))
     assert abs(spa.mean - truth) <= 4.0 * spa.se + 1e-9, f"spa {spa.mean} +- {spa.se} vs {truth}"
 
     # FD is a central difference; V' or V'' jumps at these points.
     if min(abs(theta - k) for k in (h0, H_D, *knots)) >= 2.0 * DELTA:
-        fd = fd_estimate(model, theta, h0, HORIZON, REPS, DELTA, crn=True, streams=ReplicationStreams(SEED_FD))
+        fd = fd_estimate(model, theta, h0, horizon, REPS, DELTA, crn=True, streams=ReplicationStreams(SEED_FD))
         assert abs(fd.mean - truth) <= 4.0 * fd.se + 1e-9, f"fd {fd.mean} +- {fd.se} vs {truth}"
-    oracle = oracle_derivative(model, theta, h0, num_nodes=1025)
+    oracle = oracle_derivative(model, theta, h0, num_nodes=1025, horizon=horizon)
     assert abs(oracle - truth) <= 1e-5 * max(1.0, abs(truth)), f"oracle {oracle} vs {truth}"
 
 

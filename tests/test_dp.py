@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import derivative_closed_form, derivative_exact, two_period_derivative, value_exact
+from oracles import control_limit_exact, derivative_closed_form, derivative_exact, value_exact
 from stopgrad import dp
 from stopgrad.dp import (
     GridDynamics,
@@ -215,6 +215,17 @@ class TestExtractControlLimit:
         assert res.theta == pytest.approx(0.0)
         assert res.structure_ok
 
+    @pytest.mark.parametrize("c, r, H_D", [(1.0, 5.0, 0.9), (0.5, 300.0, 1.0), (0.5, 0.0, 1.0)],
+                             ids=["interior", "J-negative", "J-positive"])
+    def test_monotone_case_meets_the_exact_control_limit(self, c, r, H_D):
+        # J = c - r + lambda R / (1 - theta) is nonincreasing on these models, so
+        # the exact limit is its root, or 0 or H when J keeps one sign.
+        m = StoppingModel(UniformDeteriorationKernel(), ConstantReward(c), ConstantReward(r), H_D=H_D, discount=LAM)
+        exact = control_limit_exact(LAM, H_D, m.reward_wait, m.reward_transplant)
+        res = extract_control_limit(m, value_iterate(m))
+        assert res.structure_ok
+        assert abs(res.theta - exact) <= 1.0 / 1024, f"value iteration {res.theta} vs exact {exact}"
+
     def test_rejects_a_value_function_of_another_model(self, wsc_vi):
         # The value function carries its model's dynamics; pairing it with other
         # rewards, or giving it no dynamics, raises instead of mixing the two.
@@ -366,16 +377,28 @@ class TestOracleDerivative:
 class TestFiniteHorizon:
     def test_short_horizons_in_closed_form(self, wsc_model):
         # Horizon 0 takes c(h0) and no transition.  At horizon 1 from h0 = 0 the
-        # value is c + lambda (int_theta^1 r + theta c), whose derivative is lambda (c - r(theta)).
+        # value is c + lambda (int_theta^1 r + theta c).
         assert policy_value_sweep(wsc_model, (0.5,), 0.0, horizon=0) == [0.5]
         assert oracle_derivative(wsc_model, 0.5, 0.0, horizon=0) == 0.0
         v1 = 0.5 + LAM * (8.0 * 0.5 ** 2 / 2 + 0.5 * 0.5)
         assert policy_value_sweep(wsc_model, (0.5,), 0.0, horizon=1)[0] == pytest.approx(v1, abs=1e-9)
-        assert oracle_derivative(wsc_model, 0.5, 0.0, horizon=1) == pytest.approx(LAM * (0.5 - 4.0), abs=1e-9)
 
-    def test_horizon_two_matches_quadrature(self, wsc_model):
-        d = oracle_derivative(wsc_model, 0.5, 0.0, horizon=2)
-        assert d == pytest.approx(two_period_derivative(0.5, LAM), abs=1e-5)
+    @pytest.mark.parametrize("horizon", [1, 2, 3, 5, 10, 200])
+    @pytest.mark.parametrize("lam, H_D, c, r, knots, theta, h0", [
+        (LAM, 1.0, ConstantReward(0.5), LinearReward(8.0, 0.0), (), 0.5, 0.0),
+        (LAM, 0.6, ConstantReward(0.5), LinearReward(8.0, 0.0), (), 0.4, 0.0),
+        (0.95, 0.9, *_TABLES, 0.6, 0.1),
+        (1.0, 1.0, ConstantReward(0.5), LinearReward(8.0, 0.0), (), 0.5, 0.0),
+    ], ids=["wsc-example", "H_D-0.6", "tables", "discount-1"])
+    def test_matches_closed_form(self, lam, H_D, c, r, knots, theta, h0, horizon):
+        m = StoppingModel(UniformDeteriorationKernel(), c, r, H_D=H_D, discount=lam)
+        truth = derivative_closed_form(theta, lam, h0, H_D, c, r, knots, horizon)
+        d = oracle_derivative(m, theta, h0, horizon=horizon)
+        assert abs(d - truth) <= 1e-5 * max(1.0, abs(truth)), f"oracle {d} vs {truth}"
+        if horizon == 1:  # every visit to theta is in period 1, with density 1 / (1 - h0)
+            hand = lam * (c(theta) - r(theta)) / (1.0 - h0)
+            assert truth == pytest.approx(hand, abs=1e-12)
+            assert d == pytest.approx(hand, abs=1e-9 if h0 == 0.0 else 1e-6)  # h0 = 0.1 is off the grid
 
     def test_long_horizon_meets_the_infinite_one(self, wsc_model):
         for theta in (0.2, 0.5):
