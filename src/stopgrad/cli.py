@@ -18,7 +18,7 @@ import numpy as np
 
 from . import dp
 from .config import ConfigError, ExperimentConfig, build_model, format_value, load_config, parse_method, validate_config
-from .estimators import GradEstimate, fd_estimate, ipa_estimate, spa_estimate
+from .estimators import GradEstimate, _mean_se, fd_estimate, ipa_estimate, spa_estimate
 from .model import StoppingModel, check_assumptions
 from .sim import ReplicationStreams, sample_paths
 
@@ -106,13 +106,12 @@ def run_simulate(cfg: ExperimentConfig, model: StoppingModel, out: Path, streams
     theta = _resolve_theta(cfg, model)
     run = cfg.run
     batch = sample_paths(model, theta, run.h0, run.horizon, run.reps, streams, workers)
+    mean, se = _mean_se(batch.value)
     rows = (
         (i, batch.value[i], "" if batch.stop_index[i] < 0 else int(batch.stop_index[i]), bool(batch.died[i]))
         for i in range(run.reps)
     )
     _write_csv(out / "simulate.csv", ["rep", "v_n", "stop_index", "died"], rows)
-    mean = float(batch.value.mean())
-    se = float(batch.value.std(ddof=1) / np.sqrt(run.reps))
     stopped = float((batch.stop_index >= 0).mean())
     died = float(batch.died.mean())
     print("theta,h0,horizon,N,mean,se")

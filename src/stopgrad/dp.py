@@ -216,41 +216,51 @@ def extract_control_limit(model: StoppingModel, V: GridValueFunction) -> Control
     return ControlLimitResult(theta_star, holes.size == 0, tuple(float(V.nodes[k]) for k in holes[:10]))
 
 
-def _waiting_nodes(dyn: GridDynamics, theta: float) -> int:
-    """Number of waiting nodes, which are a prefix of the grid.
+def _threshold_grid(model: StoppingModel, thetas: Sequence[float], num_nodes: int) -> GridDynamics:
+    """Grid dynamics that hold every threshold t as a node, which takes the
+    transplant value, and for 0 < t < H_D the largest float below t as the node
+    that holds the waiting (left) limit: the jump at t is exact and a point mass
+    on t transplants."""
+    below = [np.nextafter(t, 0.0) for t in thetas if 0.0 < t < model.H_D]
+    return GridDynamics(model, make_grid(model, num_nodes, extra=[*thetas, *below]))
 
-    Nodes below theta wait and the rest of the living region takes the
-    transplant value; a theta at or beyond H_D waits on the whole living
-    region, including the H_D node's living-side limit.
+
+def _evaluate(dyn: GridDynamics, theta: float, horizon: int | None,
+              f: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+    """Values of the threshold policy on every node of a `_threshold_grid`, and,
+    given the crossing source f, the tangent dv/dtheta on the waiting nodes.
+
+    The waiting nodes are the living nodes below theta, or the whole living
+    region for a theta at or beyond H_D, and form a prefix of the grid; the
+    other nodes take the transplant value (0 beyond H_D).  The values solve
+    v = where(wait, c + discount * continuation(v), base) and the tangent
+    s = f * (v(theta-) - r(theta)) + discount * E[s(h') 1{h' < theta}].  With no
+    horizon this is one linear solve over the waiting block, whose second
+    right-hand side is u = s / (v(theta-) - r(theta)), the tangent with its jump
+    factored out.  A finite horizon N values paths that run periods 0 ... N by
+    N backward-induction sweeps from v = c and s = 0; each tangent sweep reads
+    the previous sweep's v(theta-).
     """
-    return int(np.count_nonzero(dyn.alive & ((dyn.nodes < theta) | (theta >= dyn.model.H_D))))
-
-
-def _policy_fixed_point(dyn: GridDynamics, theta: float, src: np.ndarray, base: np.ndarray) -> np.ndarray:
-    """Solve v = where(wait, src + discount * continuation(v), base) on the grid
-    by one linear solve over the waiting nodes (`_waiting_nodes`).
-
-    Policy values take src = c and base = r (0 beyond H_D); the threshold
-    sensitivity takes the crossing source and base = 0.  Columns of (nodes, k)
-    src and base share one factorization.
-    """
-    lam = dyn.model.discount
-    m = _waiting_nodes(dyn, theta)
-    A = -lam * dyn.W[:m, :m]  # I - discount * W over the waiting block, with no full-grid temporary
-    A.flat[:: m + 1] += 1.0
-    return np.concatenate([np.linalg.solve(A, src[:m] + lam * (dyn.W[:m, m:] @ base[m:])), base[m:]])
-
-
-def _policy_sweeps(dyn: GridDynamics, theta: float, src: np.ndarray, base: np.ndarray, horizon: int) -> np.ndarray:
-    """Backward induction: from v = where(wait, src, base), apply `horizon` sweeps of
-    v = where(wait, src + discount * continuation(v), base), the finite-horizon
-    counterpart of `_policy_fixed_point` for paths that run periods 0 ... horizon."""
-    lam = dyn.model.discount
-    m = _waiting_nodes(dyn, theta)
-    v = np.concatenate([src[:m], base[m:]])
-    for _ in range(horizon):
-        v[:m] = src[:m] + lam * (dyn.W[:m] @ v)
-    return v
+    model, x = dyn.model, dyn.nodes
+    lam = model.discount
+    c, r = _raw_rewards(model, x)
+    base = np.where(dyn.alive, r, 0.0)
+    m = int(np.count_nonzero(dyn.alive & ((x < theta) | (theta >= model.H_D))))
+    W = dyn.W[:m, :m]
+    src = c[:m] + lam * (dyn.W[:m, m:] @ base[m:])  # c plus the discounted transplant values reached
+    if horizon is None:
+        A = -lam * W  # I - discount * W over the waiting block, with no full-grid temporary
+        A.flat[:: m + 1] += 1.0
+        sol = np.linalg.solve(A, np.stack([src] if f is None else [src, f[:m]], axis=1))
+        v = sol[:, 0]
+        s = None if f is None else (v[m - 1] - base[m]) * sol[:, 1]
+    else:
+        v, s = c[:m], None if f is None else np.zeros(m)
+        for _ in range(horizon):
+            if f is not None:
+                s = f[:m] * (v[m - 1] - base[m]) + lam * (W @ s)
+            v = src + lam * (W @ v)
+    return np.concatenate([v, base[m:]]), s
 
 
 def _check_policy_args(model: StoppingModel, thetas: Sequence[float], h0: float, horizon: int | None) -> None:
@@ -274,11 +284,12 @@ def policy_value(
     The threshold is inserted as a grid node so the wait/transplant boundary is
     honored exactly.
 
-    Known limit: within about 1e-3 of H the value reads low, because the chance
-    of crossing from the last cell below theta changes on a scale of H - theta,
-    far below the node spacing, which linear interpolation misreads.  On
-    wsc-example from h0 = 0 it gives 4.285 against the exact 5.985 at
-    theta = 1 - 1e-6.
+    Known limit: within about 1e-2 of H the value reads low, because below
+    theta it carries terms in (1 - h)^-1 and (1 - h)^(1 - discount), whose
+    curvature on the last cells linear interpolation cannot follow.  On
+    wsc-example from h0 = 0 at 1025 nodes it reads low by 6.0e-5 relative at
+    theta = 0.99, 3.8e-3 at 0.999 and 5.8e-2 at 0.9999, and gives 4.2851
+    against the exact 5.9855 at 1 - 1e-6.
     """
     return policy_value_sweep(model, (theta,), h0, num_nodes)[0]
 
@@ -292,28 +303,23 @@ def policy_value_sweep(
 ) -> list[float]:
     """Policy values over a list of thresholds on one shared grid.
 
-    Each threshold t is a grid node holding the transplant value; for
-    0 < t < H_D the node just below t (np.nextafter(t, 0)) is inserted too and
-    holds the waiting value, so the jump at t is exact and a point mass on t
+    The grid holds each threshold t and, for 0 < t < H_D, the node just below
+    it (`_threshold_grid`), so the jump at t is exact and a point mass on t
     transplants.  With `horizon` None the value is the infinite-horizon one;
     a finite horizon N values paths that run periods 0 ... N, as the simulator
     does, by N backward-induction sweeps, and then the discount may be 1.
     """
     ths = [float(t) for t in thetas]
     _check_policy_args(model, ths, h0, horizon)
-    below = [np.nextafter(t, 0.0) for t in ths if 0.0 < t < model.H_D]
-    dyn = GridDynamics(model, make_grid(model, num_nodes, extra=ths + below))
-    c, r = _raw_rewards(model, dyn.nodes)
-    base = np.where(dyn.alive, r, 0.0)
+    dyn = _threshold_grid(model, ths, num_nodes)
     out: list[float] = []
     for t in ths:
-        v = _policy_fixed_point(dyn, t, c, base) if horizon is None else _policy_sweeps(dyn, t, c, base, horizon)
         if h0 >= model.H_D:
             out.append(0.0)
         elif h0 >= t:
             out.append(float(model.transplant_reward(h0)))
         else:
-            out.append(float(np.interp(h0, dyn.nodes, v)))
+            out.append(float(np.interp(h0, dyn.nodes, _evaluate(dyn, t, horizon)[0])))
     return out
 
 
@@ -330,43 +336,31 @@ def oracle_derivative(
     For states below theta, V' = s solves s = src + discount * E[s(h') 1{h' < theta}]
     with src(x) = discount * f(theta | x) * (v(theta-) - r(theta)): the
     discounted density of crossing exactly at theta times the jump of the policy
-    value there.  One grid holds theta and the node just below it, which
-    carries v(theta-).  s = (v(theta-) - r(theta)) * u, where u solves the same
-    system with source discount * f(theta | x): the policy values and u are one
-    solve with two right-hand sides.  A finite `horizon` N differentiates the
-    N backward-induction sweeps of `policy_value_sweep` instead: the tangent
-    s_n = src_n + discount * E[s_{n-1}(h') 1{h' < theta}], s_0 = 0, takes its
-    jump from the previous sweep's waiting value at theta-.  Returns 0 for
-    theta <= h0 or theta >= H_D,
-    where the value does not depend on theta.  Raises DomainError when a waiting
-    node has a point mass exactly on theta (the value jumps in theta) or a
-    density jump there (the value has a kink in theta).
+    value there.  s comes from the evaluator of `policy_value_sweep`, on its
+    grid: with no horizon, one solve with two right-hand sides gives the policy
+    values and s with its jump factored out; a finite `horizon` N differentiates
+    the N backward-induction sweeps, each tangent sweep taking its jump from the
+    previous sweep's waiting value at theta-.  Returns 0 for theta <= h0 or
+    theta >= H_D, where the value does not depend on theta.  Raises DomainError
+    when a waiting node has a point mass exactly on theta (the value jumps in
+    theta) or a density jump there (the value has a kink in theta).
 
-    Known limit: within about 1e-3 of H the policy values read low (see
-    `policy_value`), and so does the jump at theta.
+    Known limit: within about 1e-2 of H the policy values read low (see
+    `policy_value`), and so does the jump at theta.  On wsc-example from h0 = 0
+    at 1025 nodes and horizon 200 the derivative reads high against the exact
+    series, by 1.1e-5 relative at theta = 0.99, 1.0e-3 at 0.999, 2.1e-2 at
+    0.9999 and 1.6e-1 at 1 - 1e-6.
     """
     theta = float(theta)
     _check_policy_args(model, (theta,), h0, horizon)
     if theta <= h0 or theta >= model.H_D:
         return 0.0
-    dyn = GridDynamics(model, make_grid(model, num_nodes, extra=(theta, np.nextafter(theta, 0.0))))
+    dyn = _threshold_grid(model, (theta,), num_nodes)
     x = dyn.nodes
-    for h in x[x < theta].tolist():
+    _, s = _evaluate(dyn, theta, horizon, model.discount * np.asarray(model.kernel.density(theta, x), dtype=float))
+    for h in x[: s.size].tolist():
         if theta in model.kernel.density_discontinuities(h) or any(
                 loc == theta and mass > 0.0 for loc, mass in model.kernel.point_masses(h)):
             raise DomainError(f"the waiting state {h!r} has a point mass or a density jump exactly on theta "
                               f"{theta!r}, where the policy value has no derivative in theta")
-    c, r = _raw_rewards(model, x)
-    f = model.discount * np.asarray(model.kernel.density(theta, x), dtype=float)
-    k = int(np.searchsorted(x, theta))  # the theta node, and the count of waiting nodes; k - 1 holds the waiting limit
-    base = np.where(dyn.alive, r, 0.0)
-    if horizon is None:
-        v, u = _policy_fixed_point(dyn, theta, np.stack([c, f], axis=1), np.stack([base, np.zeros(x.size)], axis=1)).T
-        return float((v[k - 1] - r[k]) * np.interp(h0, x, u))
-    # Backward induction over the waiting block with its tangent; s_n reads v_{n-1}(theta-).
-    lam, W = model.discount, dyn.W[:k, :k]
-    src = c[:k] + lam * (dyn.W[:k, k:] @ base[k:])
-    v, s = c[:k], np.zeros(k)
-    for _ in range(horizon):
-        v, s = src + lam * (W @ v), f[:k] * (v[k - 1] - r[k]) + lam * (W @ s)
-    return float(np.interp(h0, x[:k], s))
+    return float(np.interp(h0, x[: s.size], s))

@@ -63,10 +63,21 @@ class GradEstimate:
     @classmethod
     def from_values(cls, method: str, theta: float, values: np.ndarray) -> "GradEstimate":
         values = np.asarray(values, dtype=float)
-        reps = values.size
+        return cls(method, float(theta), values, *_mean_se(values), values.size)
+
+
+def _mean_se(values: np.ndarray) -> tuple[float, float]:
+    """Sample mean and its standard error (nan for a single value).  Raises
+    ValueError when the mean, or the se of more than one value, is not finite,
+    as when the values or their squares overflow float64."""
+    reps = values.size
+    with np.errstate(over="ignore", invalid="ignore"):
         mean = float(values.mean())
         se = float(values.std(ddof=1) / np.sqrt(reps)) if reps > 1 else float("nan")
-        return cls(method, float(theta), values, mean, se, reps)
+    if not np.isfinite(mean) or (reps > 1 and not np.isfinite(se)):
+        raise ValueError(f"the estimate is not finite in float64 (mean {mean:.4g}, se {se:.4g}); "
+                         "rescale the rewards")
+    return mean, se
 
 
 def _hazard(model: StoppingModel, theta: float, h_prev: np.ndarray) -> np.ndarray:

@@ -36,6 +36,12 @@ Also removed on purpose: the sweep budget of policy evaluation, `_POLICY_TOL`
 and `_POLICY_MAX_ITER` (policy values and the threshold sensitivity are one
 linear solve, which has no tolerance and cannot run out of sweeps).
 
+Also removed on purpose: the private policy evaluators `_policy_fixed_point`
+and `_policy_sweeps` and the waiting-node count `_waiting_nodes` of `dp`.
+`policy_value_sweep` and `oracle_derivative` share one grid rule
+(`_threshold_grid`) and one evaluator (`_evaluate`), which returns the policy
+values and the tangent from one solve or one backward induction.
+
 Also removed on purpose: the `ConstantReward` and `LinearReward` classes (they are
 now functions that return the equivalent two-knot `TabulatedReward`), plain
 callables as rewards (`StoppingModel` raises TypeError for anything but a
@@ -134,3 +140,10 @@ def test_dp_has_one_grid_default_and_a_one_vector_continuation():
     assert not hasattr(dp, "_POLICY_TOL") and not hasattr(dp, "_POLICY_MAX_ITER")
     assert inspect.signature(dp.oracle_derivative).parameters["num_nodes"].default == dp.DEFAULT_NODES
     assert tuple(inspect.signature(dp.GridDynamics.continuation).parameters) == ("self", "v")
+
+
+def test_dp_has_one_threshold_evaluator():
+    from stopgrad import dp
+
+    assert not any(hasattr(dp, name) for name in ("_policy_fixed_point", "_policy_sweeps", "_waiting_nodes"))
+    assert tuple(inspect.signature(dp._evaluate).parameters) == ("dyn", "theta", "horizon", "f")

@@ -331,6 +331,39 @@ class TestCliSubcommands:
         assert by_method["spa"]["mean"] != ""
         assert by_method["fd"]["mean"] == ""
 
+    # Rewards near the float limit pass validation, but the squares of the estimates overflow.
+    _HUGE_INI = SMALL_INI.replace("reward_transplant = linear-decreasing 8.0 0.0",
+                                  "reward_transplant = linear-decreasing 1e300 0.5").replace(
+        "discount = 0.97", "discount = 1e-12")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("args, artifact", [
+        (["gradient", "--method", "spa"], "gradient.csv"),
+        (["gradient", "--method", "fd"], "gradient.csv"),
+        (["simulate"], "simulate.csv"),
+    ], ids=["spa", "fd", "simulate"])
+    def test_overflowing_estimate_exit_code(self, tmp_path, capsys, args, artifact):
+        from stopgrad import cli
+
+        (tmp_path / "huge.ini").write_text(self._HUGE_INI)
+        # At 400 replications some CRN FD rows differ between the two legs, by about 1e302.
+        assert cli.main(["--config", str(tmp_path / "huge.ini"), "--out", str(tmp_path), *args]) == 2
+        assert not (tmp_path / artifact).exists()
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input:") and "not finite" in err and err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_sweep_cells_fail(self, tmp_path):
+        from stopgrad import cli
+
+        text = self._HUGE_INI.replace("thetas = 0.2, 0.5, 0.8", "thetas = 0.5").replace(
+            "reps = 10, 20, 30", "reps = 400")
+        (tmp_path / "huge.ini").write_text(text)
+        assert cli.main(["--config", str(tmp_path / "huge.ini"), "--out", str(tmp_path), "sweep"]) == 4
+        rows = read_csv(tmp_path / "sweep.csv")
+        assert [(r["method"], r["mean"] == "") for r in rows] == [("spa", True), ("fd", True), ("fd", True),
+                                                                  ("ipa", False)]
+
     def test_seed_changes_results_and_reruns_are_identical(self, tmp_path):
         (tmp_path / "small.ini").write_text(SMALL_INI)
         args = ["--config", "small.ini", "--out", ".", "gradient", "--method", "spa", "--theta", "0.5", "--reps", "300"]

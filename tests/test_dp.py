@@ -407,11 +407,17 @@ class TestFiniteHorizon:
             assert oracle_derivative(wsc_model, theta, 0.0, horizon=1000) == pytest.approx(
                 oracle_derivative(wsc_model, theta, 0.0), abs=1e-9)
 
-    @pytest.mark.parametrize("horizon", [1, 2, 5])
-    def test_tangent_matches_central_difference(self, horizon):
-        from test_kernel import ResetKernel
+    # Test ids name the kernel except on ResetKernel(0.3), e.g. "2" and "power-2".
+    @pytest.mark.parametrize("kernel, horizon", [
+        pytest.param(k, n, id="-".join(map(str, (n,) if k == "reset" else (k, n))))
+        for k in ("reset", "power") for n in (None, 1, 2, 5)])
+    def test_tangent_matches_central_difference(self, kernel, horizon):
+        # ResetKernel's continuations fall back below theta; PowerKernel(2)'s
+        # crossing density depends on the state.
+        from test_kernel import PowerKernel, ResetKernel
 
-        m = StoppingModel(ResetKernel(0.3), ConstantReward(0.5), LinearReward(8.0, 0.0), H_D=0.7)
+        k = ResetKernel(0.3) if kernel == "reset" else PowerKernel(2.0)
+        m = StoppingModel(k, ConstantReward(0.5), LinearReward(8.0, 0.0), H_D=0.7)
         hi, lo = policy_value_sweep(m, (0.4 + 5e-4, 0.4 - 5e-4), 0.0, horizon=horizon)
         assert oracle_derivative(m, 0.4, 0.0, horizon=horizon) == pytest.approx((hi - lo) / 1e-3, rel=1e-5)
 

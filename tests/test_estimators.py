@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import FixedStreams, replay
-from oracles import continuation_mean_reward, derivative_closed_form
+from oracles import continuation_mean_reward, derivative_closed_form, simpson
 from stopgrad.estimators import (
     DegenerateHazardError,
     GradEstimate,
@@ -74,6 +74,17 @@ class TestGradEstimate:
         assert g.mean == pytest.approx(vals.mean())
         assert g.se == pytest.approx(vals.std(ddof=1) / 2.0)
         assert g.reps == 4 and g.values.size == 4
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("vals", [[1e300, -1e300, 1e300], [np.inf, 1.0], [np.nan, 1.0], [np.inf]],
+                             ids=["squares-overflow", "inf", "nan", "one-inf"])
+    def test_non_finite_summary_raises(self, vals):
+        with pytest.raises(ValueError, match="not finite"):
+            GradEstimate.from_values("spa", 0.5, np.array(vals))
+
+    def test_one_value_keeps_a_nan_se(self):
+        g = GradEstimate.from_values("spa", 0.5, np.array([2.0]))
+        assert g.mean == 2.0 and np.isnan(g.se)
 
 
 def _spa_rows(model, theta, h0, horizon, U):
@@ -147,6 +158,17 @@ class TestFirstStep:
         assert _first_step(m, 0.3) == pytest.approx((2.2 / 0.7, 0.0), abs=1e-10)
         # StepKernel(0.2) from theta = 0.5 stays at theta, a point mass worth r(theta).
         assert _first_step(StoppingModel(StepKernel(0.2), ConstantReward(0.5), LinearReward(8.0, 0.0)), 0.5) == (4.0, 0.0)
+
+    @pytest.mark.parametrize("theta", [0.1, 0.3])
+    def test_steep_table_is_integrated_between_its_knots(self, theta):
+        # r falls from 10 to 0 over [0.5, 0.500001], far below any quadrature
+        # panel: A = int_theta^1 r / (1 - theta), by Simpson on each piece between
+        # the knots.
+        xs, ys = (0.5, 0.500001), (10.0, 0.0)
+        m = StoppingModel(UniformDeteriorationKernel(), ConstantReward(0.5), TabulatedReward(xs, ys))
+        edges = (theta, *xs, 1.0)
+        exact = sum(simpson(lambda h: np.interp(h, xs, ys) / (1.0 - theta), p, q) for p, q in zip(edges[:-1], edges[1:]))
+        assert _first_step(m, theta)[0] == pytest.approx(exact, rel=1e-9)
 
 
 def _reset_model() -> StoppingModel:

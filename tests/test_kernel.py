@@ -86,6 +86,74 @@ class ResetKernel(TransitionKernel):
         return ((1.0, 1.0 - self.p),) if h_cur >= 1.0 else ()
 
 
+class PowerKernel(TransitionKernel):
+    """The next state is h + (1 - h) U^(1/a), with density a (h' - h)^(a - 1) / (1 - h)^a
+    on [h, 1] and tail mass 1 - ((x - h)/(1 - h))^a.
+
+    The kernel is IFR and a = 1 is uniform deterioration.  For a != 1 the
+    crossing hazard f(theta | h) / P(h' >= theta | h) depends on the state h.
+    The density is declared to jump at h, the edge of its support; from h = 1
+    the law is a point mass at 1.
+    """
+
+    H = 1.0
+
+    def __init__(self, a: float):
+        self.a = a
+
+    def density(self, h_next, h_cur):
+        hn, hc = np.asarray(h_next, dtype=float), np.asarray(h_cur, dtype=float)
+        width = 1.0 - np.where(hc < 1.0, hc, 0.0)
+        out = np.where((hc < 1.0) & (hn >= hc), self.a * np.maximum(hn - hc, 0.0) ** (self.a - 1.0) / width ** self.a,
+                       0.0)
+        return float(out) if out.ndim == 0 else out
+
+    def tail_mass(self, a, h_cur):
+        aa, hc = np.asarray(a, dtype=float), np.asarray(h_cur, dtype=float)
+        width = 1.0 - np.where(hc < 1.0, hc, 0.0)
+        out = np.where(hc < 1.0, 1.0 - np.clip((aa - hc) / width, 0.0, 1.0) ** self.a, 1.0)
+        return float(out) if out.ndim == 0 else out
+
+    def ppf(self, u, h_cur):
+        hc = np.asarray(h_cur, dtype=float)
+        out = hc + (1.0 - hc) * np.asarray(u, dtype=float) ** (1.0 / self.a)
+        return float(out) if out.ndim == 0 else out
+
+    def density_discontinuities(self, h_cur):
+        return (float(h_cur),) if h_cur < 1.0 else ()
+
+    def point_masses(self, h_cur):
+        return ((1.0, 1.0),) if h_cur >= 1.0 else ()
+
+
+class TestPowerKernel:
+    def test_ppf_inverts_tail_mass(self):
+        k = PowerKernel(2.0)
+        u = np.linspace(0.0, 1.0, 201)[:-1]
+        for h in (0.0, 0.3, 0.7):
+            x = k.ppf(u, h)
+            np.testing.assert_allclose(k.tail_mass(x, h), 1.0 - u, rtol=0, atol=1e-12)
+        assert k.ppf(0.5, 1.0) == 1.0
+
+    def test_density_matches_tail_mass(self):
+        k = PowerKernel(2.0)
+        for h in (0.0, 0.4):
+            for a in (0.1, 0.5, 0.8):
+                assert integrate_density(k, h, a, 1.0) == pytest.approx(k.tail_mass(a, h), abs=1e-8)
+
+    def test_hazard_depends_on_the_state(self):
+        # f(theta | h) / P(h' >= theta | h) = 2 (theta - h) / ((1 - h)^2 - (theta - h)^2).
+        k, theta = PowerKernel(2.0), 0.5
+        hz = [k.density(theta, h) / k.tail_mass(theta, h) for h in (0.0, 0.3)]
+        assert hz == pytest.approx([4.0 / 3.0, 0.4 / 0.45], rel=1e-12)
+
+    def test_audits_pass(self):
+        from stopgrad.model import ConstantReward, LinearReward, StoppingModel, check_assumptions
+
+        report = check_assumptions(StoppingModel(PowerKernel(2.0), ConstantReward(0.5), LinearReward(8.0, 0.0)))
+        assert all(r.passed for r in report.values()), report
+
+
 class TestResetKernel:
     @pytest.mark.parametrize("p", [0.2, 0.5])
     def test_ppf_inverts_tail_mass(self, p):
